@@ -3,10 +3,10 @@
 // function. The historical experiment ran exactly 4096 workers through a
 // hardcoded 64x64 two-level tree; this sweep drives every configuration
 // through the shared invocation-tree planner (core/invocation_tree.h) —
-// depth 2 with explicit per-child payloads versus depth 3 with batched
-// subtree-range payloads — at fleet sizes up to 16384, and reports the
-// measured all-running time next to the cost model's prediction plus the
-// modeled invocation bill.
+// depth 2 with the descendants' inputs inline in each payload versus
+// depth 3 with batched payloads (range plus input-table pointer) — at
+// fleet sizes up to 16384, and reports the measured all-running time next
+// to the cost model's prediction plus the modeled invocation bill.
 
 #include <algorithm>
 #include <memory>
@@ -60,10 +60,10 @@ struct SweepResult {
 };
 
 /// Starts a `workers`-strong fleet through a forced depth-`depth` tree in
-/// a fresh deployment and measures the invocation timeline. Depth 2 uses
-/// the historical explicit child payloads; depth 3 uses batched
-/// subtree-range payloads (a two-level payload cannot carry grandchild
-/// inputs), mirroring the driver's auto-batching rule.
+/// a fresh deployment and measures the invocation timeline. Depth 2
+/// carries the descendants' inputs inline; depth 3 batches (the workers
+/// here need no inputs, so the table is never fetched), mirroring the
+/// driver's rule.
 SweepResult RunSweep(uint32_t workers, int depth) {
   cloud::CloudConfig cfg;
   cfg.concurrency_limit = 24000;
@@ -74,7 +74,6 @@ SweepResult RunSweep(uint32_t workers, int depth) {
   out.plan = core::PlanInvocationTree(workers, topt);
   out.modeled_s =
       models::TreeAllRunningTime(out.plan.fanout, workers, topt.cost);
-  const bool range_mode = depth >= 3;
 
   std::vector<int> started_count(workers, 0);
   std::vector<double> started;
@@ -90,10 +89,8 @@ SweepResult RunSweep(uint32_t workers, int depth) {
     if (payload->self.worker_id < started_count.size()) {
       ++started_count[payload->self.worker_id];
     }
-    if (!payload->to_invoke.empty() || payload->tree.active()) {
-      auto invoked = co_await core::InvokeTreeChildren(env, *payload);
-      if (!invoked.ok()) co_return invoked.status();
-    }
+    auto invoked = co_await core::InvokeTreeChildren(env, *payload);
+    if (!invoked.ok()) co_return invoked.status();
     co_return Status::OK();
   };
   LAMBADA_CHECK_OK(cloud.faas().CreateFunction(fn));
@@ -102,7 +99,7 @@ SweepResult RunSweep(uint32_t workers, int depth) {
   // threads (Section 4.2); each root recursively starts its ID range.
   double driver_done = 0;
   sim::Spawn([](cloud::Cloud* c, const core::TreePlan* plan, uint32_t total,
-                bool ranges, double* done_at) -> Async<void> {
+                double* done_at) -> Async<void> {
     auto gate = std::make_shared<sim::Semaphore>(&c->sim(), 128);
     std::vector<Async<void>> calls;
     for (const core::TreeNode& root : core::TreeRoots(*plan)) {
@@ -110,15 +107,16 @@ SweepResult RunSweep(uint32_t workers, int depth) {
       p.query_id = "fig5";
       p.total_workers = total;
       p.self.worker_id = root.begin;
-      if (ranges) {
-        p.tree.subtree_end = root.end;
-        p.tree.generation = root.generation;
-        p.tree.fanout = plan->fanout;
+      p.tree.subtree_end = root.end;
+      p.tree.generation = root.generation;
+      p.tree.fanout = plan->fanout;
+      if (plan->depth() >= 3) {
+        p.tree.inputs_key = "plans/fig5.inputs";
       } else {
         for (uint32_t id = root.begin + 1; id < root.end; ++id) {
           core::WorkerInput child;
           child.worker_id = id;
-          p.to_invoke.push_back(child);
+          p.tree.descendants.push_back(child);
         }
       }
       calls.push_back(
@@ -136,7 +134,7 @@ SweepResult RunSweep(uint32_t workers, int depth) {
     }
     co_await sim::WhenAllVoid(&c->sim(), std::move(calls));
     *done_at = c->sim().Now();
-  }(&cloud, &out.plan, workers, range_mode, &driver_done));
+  }(&cloud, &out.plan, workers, &driver_done));
   cloud.sim().Run();
 
   std::sort(started.begin(), started.end());

@@ -64,6 +64,31 @@ sim::Async<Result<PatternListing>> ListPattern(cloud::S3Client* client,
   co_return out;
 }
 
+/// The payload that starts `node`'s whole subtree: the template of its
+/// own worker (`payloads` holds every worker's leaf payload) widened to
+/// the node's range, with the descendants' inputs inline — or, with an
+/// `inputs_key`, with none of the inputs: every member of the subtree,
+/// the node included, fetches its own from that table.
+InvocationPayload BranchPayload(const std::vector<InvocationPayload>& payloads,
+                                const TreeNode& node,
+                                const std::string& inputs_key) {
+  InvocationPayload p = payloads[node.begin];
+  p.tree.subtree_end = node.end;
+  p.tree.generation = node.generation;
+  p.tree.inputs_key = inputs_key;
+  if (inputs_key.empty()) {
+    for (uint32_t id = node.begin + 1; id < node.end; ++id) {
+      p.tree.descendants.push_back(payloads[id].self);
+    }
+  } else {
+    WorkerInput bare;
+    bare.worker_id = node.begin;
+    bare.attempt = p.self.attempt;
+    p.self = std::move(bare);
+  }
+  return p;
+}
+
 }  // namespace
 
 Driver::Driver(cloud::Cloud* cloud, DriverOptions options)
@@ -118,44 +143,21 @@ sim::Async<Status> Driver::InvokeOne(const std::string& function,
 
 sim::Async<Status> Driver::InvokeWorkers(
     const std::vector<InvocationPayload>& payloads, const TreePlan& tree,
-    bool batched, const std::string& inputs_key, const std::string& function,
+    const std::string& inputs_key, const std::string& function,
     cloud::CostLedger* attribution) {
   // Invocation tree (Section 4.2, generalized): the driver invokes the
   // generation-1 roots; each recursively starts its claimed ID range.
-  // Depth-2 roots reproduce the historical ~sqrt(P) grouping exactly.
-  std::vector<InvocationPayload> first_gen;
-  if (tree.depth() >= 2) {
-    for (const TreeNode& root : TreeRoots(tree)) {
-      InvocationPayload leader = payloads[root.begin];
-      if (batched) {
-        // The leader fetches its own inputs from the table like everyone
-        // else; its payload carries only the range and the table pointer.
-        leader.self.files.clear();
-        leader.self.build_files.clear();
-        leader.self.build_counts.clear();
-        leader.tree.subtree_end = root.end;
-        leader.tree.generation = root.generation;
-        leader.tree.fanout = tree.fanout;
-        leader.tree.inputs_key = inputs_key;
-      } else {
-        for (uint32_t id = root.begin + 1; id < root.end; ++id) {
-          leader.to_invoke.push_back(payloads[id].self);
-        }
-      }
-      first_gen.push_back(std::move(leader));
-    }
-  } else {
-    first_gen = payloads;
-  }
-
-  // Fan the Invoke calls over a bounded pool of invocation threads.
+  // Depth-1 roots are single workers; depth-2 roots reproduce the
+  // historical ~sqrt(P) grouping exactly. The Invoke calls fan over a
+  // bounded pool of invocation threads.
+  const std::vector<TreeNode> roots = TreeRoots(tree);
   auto* sim = &cloud_->sim();
   auto gate =
       std::make_shared<sim::Semaphore>(sim, options_.invoke_threads);
   auto first_error = std::make_shared<Status>(Status::OK());
   std::vector<sim::Async<void>> calls;
-  calls.reserve(first_gen.size());
-  for (auto& p : first_gen) {
+  calls.reserve(roots.size());
+  for (const TreeNode& root : roots) {
     calls.push_back([](Driver* self, std::shared_ptr<sim::Semaphore> g,
                        std::shared_ptr<Status> err, std::string fn,
                        std::string payload,
@@ -164,7 +166,8 @@ sim::Async<Status> Driver::InvokeWorkers(
       Status s = co_await self->InvokeOne(fn, std::move(payload), attr);
       if (!s.ok() && err->ok()) *err = s;
       g->Release();
-    }(this, gate, first_error, function, p.Serialize(), attribution));
+    }(this, gate, first_error, function,
+      BranchPayload(payloads, root, inputs_key).Serialize(), attribution));
   }
   co_await sim::WhenAllVoid(sim, std::move(calls));
   co_return *first_error;
@@ -413,6 +416,8 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // Exchanges need a factorizable worker grid; round down if necessary.
   // Both exchanges of a partitioned join run over the same grid, so both
   // constrain it; a broadcast join has no exchange and constrains nothing.
+  // The shrink is a plan decision, so EXPLAIN shows it.
+  const int planned_workers = workers;
   for (const auto& op : physical->fragment.ops) {
     const ExchangeSpec* specs[2] = {
         op.kind == PlanOp::Kind::kExchange ? &*op.exchange : nullptr,
@@ -422,13 +427,13 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
             : nullptr};
     for (const ExchangeSpec* spec : specs) {
       if (spec == nullptr) continue;
-      int adjusted = LargestFactorizableWorkerCount(workers, spec->levels);
-      if (adjusted != workers) {
-        LAMBADA_LOG(Info) << "adjusting worker count " << workers << " -> "
-                          << adjusted << " for the exchange grid";
-        workers = adjusted;
-      }
+      workers = LargestFactorizableWorkerCount(workers, spec->levels);
     }
+  }
+  if (workers != planned_workers) {
+    physical->explain_text += "  workers: " + std::to_string(planned_workers) +
+                              " -> " + std::to_string(workers) +
+                              " (exchange grid)\n";
   }
 
   // ---- Resolve adaptive scan tuning from table stats (Figure 7). ----
@@ -448,13 +453,6 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // ---- Plan the invocation tree (Section 4.2, generalized). ----
   TreeOptions topt;
   topt.depth = options_.invocation_tree_depth;
-  if (options_.invocation_batching < 0) {
-    // Unbatched payloads cannot carry a grandchild's inputs, so "never
-    // batch" clamps the tree to the explicit two-level layout.
-    topt.max_depth = 2;
-    if (topt.depth > 2) topt.depth = 2;
-  }
-  if (!options_.two_level_invocation) topt.depth = 1;
   const cloud::RegionProfile& region = cloud_->region();
   topt.cost.driver_invoke_latency_s = region.remote_invoke_latency_s;
   topt.cost.driver_rate_per_s = region.remote_client_rate_per_s;
@@ -464,11 +462,10 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                              cloud_->faas().config().cold_init_cpu_s;
   const TreePlan tree =
       PlanInvocationTree(static_cast<uint32_t>(workers), topt);
-  const bool batched =
-      tree.depth() >= 2 &&
-      (options_.invocation_batching == 1 ||
-       (options_.invocation_batching == 0 && tree.depth() >= 3));
-  const std::string inputs_key = "plans/" + query_id + ".inputs";
+  // Trees deeper than two levels batch their payloads: an inline payload
+  // would carry every grandchild's inputs through the tree.
+  const std::string inputs_key =
+      tree.depth() >= 3 ? "plans/" + query_id + ".inputs" : "";
 
   if (tr != nullptr) {
     tr->AddArg(plan_span, "query_id", query_id);
@@ -485,7 +482,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
       Buffer::FromVector(physical->fragment.Serialize())));
   obs::End(tr, upload_span);
 
-  // ---- Build per-worker payloads (contiguous file ranges). ----
+  // ---- Build per-worker leaf payloads (contiguous file ranges). ----
   std::vector<InvocationPayload> payloads;
   payloads.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
@@ -498,6 +495,8 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
     p.data_scale = options.data_scale;
     p.hedge_gets = options.hedge_gets;
     p.self.worker_id = static_cast<uint32_t>(w);
+    p.tree.subtree_end = static_cast<uint32_t>(w) + 1;
+    p.tree.fanout = tree.fanout;
     size_t begin = files.size() * static_cast<size_t>(w) /
                    static_cast<size_t>(workers);
     size_t end = files.size() * (static_cast<size_t>(w) + 1) /
@@ -523,10 +522,8 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                                   bfiles.begin() + bbegin,
                                   bfiles.begin() + bend);
       }
-      if (physical->build_inputs.size() > 1) {
-        p.self.build_counts.push_back(
-            static_cast<uint32_t>(p.self.build_files.size() - before));
-      }
+      p.self.build_counts.push_back(
+          static_cast<uint32_t>(p.self.build_files.size() - before));
     }
     payloads.push_back(std::move(p));
   }
@@ -535,7 +532,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // inputs; payloads then carry only their subtree ID range, so payload
   // bytes (and the bytes any one worker fetches) stay O(1) in the fleet
   // size.
-  if (batched) {
+  if (!inputs_key.empty()) {
     std::vector<WorkerInput> inputs;
     inputs.reserve(payloads.size());
     for (const auto& p : payloads) inputs.push_back(p.self);
@@ -550,8 +547,8 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // The payloads stay behind as the re-invocation templates of the
   // mitigation loop below.
   const uint64_t invoke_span = obs::Begin(tr, 0, "driver", "invoke");
-  CO_RETURN_NOT_OK(co_await InvokeWorkers(payloads, tree, batched, inputs_key,
-                                          function, options.attribution));
+  CO_RETURN_NOT_OK(co_await InvokeWorkers(payloads, tree, inputs_key, function,
+                                          options.attribution));
   const double t_invoked = sim->Now();
   obs::End(tr, invoke_span);
 
@@ -648,7 +645,6 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
         // of recording the failure.
         InvocationPayload retry = payloads[w];
         retry.self.attempt = static_cast<uint32_t>(attempts[w]++);
-        retry.to_invoke.clear();
         invoked_at[w] = sim->Now();
         if (tr != nullptr) {
           tr->Instant(collect_span, "reinvoke w" + std::to_string(w));
@@ -707,25 +703,8 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
       }
       if (!silent || !all_due) continue;
       if (branch_attempts >= mit.max_attempts) continue;
-      const uint32_t attempt = static_cast<uint32_t>(branch_attempts);
-      InvocationPayload retry = payloads[b.begin];
-      retry.self.attempt = attempt;
-      retry.to_invoke.clear();
-      if (batched) {
-        retry.self.files.clear();
-        retry.self.build_files.clear();
-        retry.self.build_counts.clear();
-        retry.tree.subtree_end = b.end;
-        retry.tree.generation = b.generation;
-        retry.tree.fanout = tree.fanout;
-        retry.tree.inputs_key = inputs_key;
-      } else {
-        for (uint32_t id = b.begin + 1; id < b.end; ++id) {
-          WorkerInput child = payloads[id].self;
-          child.attempt = attempt;
-          retry.to_invoke.push_back(std::move(child));
-        }
-      }
+      InvocationPayload retry = BranchPayload(payloads, b, inputs_key);
+      retry.self.attempt = static_cast<uint32_t>(branch_attempts);
       for (uint32_t id = b.begin; id < b.end; ++id) {
         branch_covered[id] = 1;
         attempts[id] = branch_attempts + 1;
@@ -758,7 +737,6 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
       if (!past_deadline && !stalled) continue;
       InvocationPayload retry = payloads[wi];
       retry.self.attempt = static_cast<uint32_t>(attempts[wi]++);
-      retry.to_invoke.clear();
       invoked_at[wi] = sim->Now();
       if (tr != nullptr) {
         tr->Instant(collect_span, "reinvoke w" + std::to_string(w));
@@ -865,7 +843,6 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   report.reinvoked_workers = reinvoked_workers;
   report.subtree_reinvocations = subtree_reinvocations;
   report.tree_depth = tree.depth();
-  report.batched_invocation = batched;
   report.duplicate_results = duplicate_results;
   for (const auto& r : results) {
     report.worker_s3_retries += r.metrics.s3_retries();

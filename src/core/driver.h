@@ -34,23 +34,15 @@ struct DriverOptions {
   std::string function_prefix = "lambada-w";
   /// Concurrent invocation threads (the paper uses 128, Section 4.2).
   int invoke_threads = 128;
-  /// Start workers through the invocation tree (Section 4.2) instead of
-  /// invoking every worker from the driver.
-  bool two_level_invocation = true;
-  /// Invocation-tree depth: 0 picks the depth with the best modeled
-  /// all-running time from the fleet size and the invoker profile
-  /// (core/invocation_tree.h) — fleets of <= 4 workers stay driver-direct
-  /// and two-level plans reproduce the historical sqrt grouping
-  /// byte-for-byte; 1..3 force a depth. Ignored when two_level_invocation
-  /// is false (always depth 1).
+  /// Invocation-tree depth (Section 4.2, generalized): 0 picks the depth
+  /// with the best modeled all-running time from the fleet size and the
+  /// invoker profile (core/invocation_tree.h) — fleets of <= 4 workers
+  /// stay driver-direct and two-level plans reproduce the historical sqrt
+  /// grouping byte-for-byte; 1..3 force a depth, 1 being flat driver-only
+  /// invocation. Trees of depth >= 3 batch their payloads: each carries
+  /// its subtree ID range plus a pointer to the per-worker input table in
+  /// S3 instead of its descendants' inputs.
   int invocation_tree_depth = 0;
-  /// Invocation batching: payloads carry a contiguous subtree ID range
-  /// plus a pointer to the per-worker input table in S3 instead of every
-  /// child's explicit WorkerInput. 0 = auto (trees deeper than two levels
-  /// need it; two-level fleets keep their historical explicit payloads),
-  /// 1 = batch two-level fleets too, -1 = never (clamps the tree to two
-  /// levels).
-  int invocation_batching = 0;
   /// SQS long-poll wait per receive call.
   double result_poll_wait_s = 1.0;
   double query_timeout_s = 3600.0;
@@ -181,10 +173,9 @@ struct QueryReport {
   /// Branch re-invocations issued by subtree recovery; each restarted one
   /// silent gen-1/gen-2 subtree through its invoker.
   int subtree_reinvocations = 0;
-  /// Invocation-tree shape this query ran with (1 = driver-direct) and
-  /// whether payloads were batched (subtree ranges + input table).
+  /// Invocation-tree depth this query ran with (1 = driver-direct;
+  /// payloads were batched at depth >= 3).
   int tree_depth = 1;
-  bool batched_invocation = false;
   int64_t duplicate_results = 0;
   int64_t worker_s3_retries = 0;
   int64_t hedged_gets = 0;
@@ -239,16 +230,15 @@ class Driver {
   cloud::Cloud* cloud() { return cloud_; }
 
  private:
-  /// Invokes all `payloads` (worker_id -> full payload) through the
-  /// invocation tree: depth-1 plans go out flat; deeper plans invoke the
-  /// generation-1 roots, each carrying its children's WorkerInputs
-  /// explicitly (legacy two-level layout) or, batched, just its subtree
-  /// ID range plus `inputs_key`. Returns when every Invoke call was
-  /// issued and accepted.
+  /// Invokes all `payloads` (worker_id -> the worker's own leaf payload)
+  /// through the invocation tree: one Invoke per generation-1 root, whose
+  /// payload (BranchPayload) carries its subtree range and its
+  /// descendants' inputs — inline, or batched behind `inputs_key` when
+  /// that is set. Returns when every Invoke call was issued and accepted.
   sim::Async<Status> InvokeWorkers(
       const std::vector<InvocationPayload>& payloads, const TreePlan& tree,
-      bool batched, const std::string& inputs_key,
-      const std::string& function, cloud::CostLedger* attribution);
+      const std::string& inputs_key, const std::string& function,
+      cloud::CostLedger* attribution);
 
   sim::Async<Status> InvokeOne(const std::string& function,
                                std::string payload,

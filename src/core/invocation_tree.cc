@@ -10,6 +10,12 @@ namespace lambada::core {
 
 namespace {
 
+/// Deepest tree the planner builds.
+constexpr int kMaxTreeDepth = 3;
+/// Fleets this small are invoked directly by the driver — a tree would
+/// only add a container-start hop (matches the historical driver rule).
+constexpr uint32_t kDirectInvokeMax = 4;
+
 /// Capacity of one generation-1 subtree when every inner level branches
 /// `f` in a depth-`depth` tree (saturating).
 uint64_t Cap1ForFanout(uint32_t f, int depth) {
@@ -68,17 +74,16 @@ TreePlan PlanInvocationTree(uint32_t workers, const TreeOptions& options) {
   TreePlan plan;
   plan.workers = workers;
   if (workers == 0) return plan;
-  const int max_depth = std::max(1, options.max_depth);
-  int depth = std::min(std::max(0, options.depth), max_depth);
+  int depth = std::min(std::max(0, options.depth), kMaxTreeDepth);
   if (depth == 0) {
-    if (workers <= options.direct_invoke_max) {
+    if (workers <= kDirectInvokeMax) {
       depth = 1;
     } else {
       // Pick the depth with the best modeled all-running time; ties go to
       // the shallower tree (fewer serial container-start hops to recover
       // through).
       double best = std::numeric_limits<double>::infinity();
-      for (int d = 2; d <= max_depth; ++d) {
+      for (int d = 2; d <= kMaxTreeDepth; ++d) {
         const double t = models::TreeAllRunningTime(FanoutForDepth(workers, d),
                                                     workers, options.cost);
         if (t < best) {
@@ -163,41 +168,46 @@ Result<std::vector<TreeNode>> TreeChildren(const TreePlan& plan,
 
 sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
                                            const InvocationPayload& payload) {
-  // Derive the children first: the subtree ranges of a tree assignment,
-  // or the explicit WorkerInputs of a legacy two-level payload.
+  // Derive the children first: TreeChildren splits this node's range,
+  // and each child takes its own inputs plus its descendants' from ours —
+  // or, batched, only its id (it fetches its inputs from the table).
+  TreePlan plan;
+  plan.workers = payload.total_workers;
+  plan.fanout = payload.tree.fanout;
+  TreeNode node;
+  node.begin = payload.self.worker_id;
+  node.end = payload.tree.subtree_end;
+  node.generation = payload.tree.generation;
+  auto nodes = TreeChildren(plan, node);
+  if (!nodes.ok()) co_return nodes.status();
+  if (nodes->empty()) co_return 0;
+  const int generation = static_cast<int>(payload.tree.generation);
+  const bool batched = !payload.tree.inputs_key.empty();
+  const std::vector<WorkerInput>& inputs = payload.tree.descendants;
+  if (!batched && inputs.size() != node.size() - 1) {
+    co_return Status::Invalid("payload lacks its descendants' inputs");
+  }
+  InvocationPayload base = payload;
+  base.tree.descendants.clear();
   std::vector<InvocationPayload> children;
-  int generation = 1;
-  if (payload.tree.active()) {
-    generation = static_cast<int>(payload.tree.generation);
-    TreePlan plan;
-    plan.workers = payload.total_workers;
-    plan.fanout = payload.tree.fanout;
-    TreeNode node;
-    node.begin = payload.self.worker_id;
-    node.end = payload.tree.subtree_end;
-    node.generation = payload.tree.generation;
-    auto nodes = TreeChildren(plan, node);
-    if (!nodes.ok()) co_return nodes.status();
-    children.reserve(nodes->size());
-    for (const TreeNode& c : *nodes) {
-      InvocationPayload child = payload;
+  children.reserve(nodes->size());
+  for (const TreeNode& c : *nodes) {
+    InvocationPayload child = base;
+    child.tree.subtree_end = c.end;
+    child.tree.generation = c.generation;
+    if (batched) {
       child.self = WorkerInput{};
       child.self.worker_id = c.begin;
-      child.self.attempt = payload.self.attempt;
-      child.tree.subtree_end = c.end;
-      child.tree.generation = c.generation;
-      children.push_back(std::move(child));
+    } else {
+      // Descendant i holds worker node.begin + 1 + i.
+      auto first = inputs.begin() + (c.begin - node.begin - 1);
+      child.self = *first;
+      child.tree.descendants.assign(first + 1,
+                                    first + (c.end - c.begin));
     }
-  } else {
-    children.reserve(payload.to_invoke.size());
-    for (const WorkerInput& in : payload.to_invoke) {
-      InvocationPayload child = payload;
-      child.self = in;
-      child.to_invoke.clear();
-      children.push_back(std::move(child));
-    }
+    child.self.attempt = payload.self.attempt;
+    children.push_back(std::move(child));
   }
-  if (children.empty()) co_return 0;
 
   // Invoker-loss fate: only nodes that actually invoke children consult
   // the plan's invoker stream, so leaf-heavy fleets draw nothing extra.

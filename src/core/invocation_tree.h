@@ -38,14 +38,9 @@ struct TreePlan {
 /// all-running time is best) and the invoker-profile parameters the model
 /// runs on.
 struct TreeOptions {
-  /// 0 = choose automatically among [2, max_depth] (fleets of at most
-  /// `direct_invoke_max` workers always get depth 1); otherwise a forced
-  /// depth in [1, max_depth].
+  /// 0 = choose automatically among [2, 3] (fleets of at most 4 workers
+  /// always get depth 1); otherwise a forced depth in [1, 3].
   int depth = 0;
-  int max_depth = 3;
-  /// Fleets this small are invoked directly by the driver — a tree would
-  /// only add a container-start hop (matches the historical driver rule).
-  uint32_t direct_invoke_max = 4;
   models::InvocationTreeParams cost;
 };
 
@@ -80,19 +75,21 @@ Result<std::vector<TreeNode>> TreeChildren(const TreePlan& plan,
 // -- Worker-side expansion ---------------------------------------------------
 
 /// Invokes the children this payload is responsible for: the subtree
-/// ranges of its tree assignment, or the explicit to_invoke list of a
-/// legacy two-level payload. Retries retriable Invoke failures with
-/// jittered exponential backoff (bounded), logging and moving on like the
-/// historical worker loop. Consumes this node's invoker-loss fate from
-/// the region's fault plan (cloud/fault.h) when one is installed: on a
-/// drawn crash the environment is marked crashed — possibly after half
-/// the children went out — and the caller must abandon the invocation
-/// without reporting a result. Returns the number of children invoked.
+/// ranges TreeChildren derives from its tree assignment, each stamped with
+/// the invoker's attempt and carrying its own inputs and its descendants'
+/// (inline, or batched behind the same input table). Retries retriable
+/// Invoke failures with jittered exponential backoff (bounded), logging
+/// and moving on like the historical worker loop. Consumes this node's
+/// invoker-loss fate from the region's fault plan (cloud/fault.h) when one
+/// is installed: on a drawn crash the environment is marked crashed —
+/// possibly after half the children went out — and the caller must
+/// abandon the invocation without reporting a result. Returns the number
+/// of children invoked.
 sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
                                            const InvocationPayload& payload);
 
 // -- Batched worker-input table ----------------------------------------------
-// With invocation batching a payload carries only its subtree ID range;
+// Batched payloads (trees of depth >= 3) carry only their subtree ID range;
 // the per-worker inputs live in one S3 object ("plans/<qid>.inputs") and
 // every worker fetches its own entry with two small ranged GETs — O(1)
 // payload bytes and O(1) fetched bytes per worker regardless of fleet

@@ -27,7 +27,6 @@ void CollectOpColumns(const PlanOp& op, std::set<std::string>* cols) {
       }
       break;
     case PlanOp::Kind::kJoin:
-    case PlanOp::Kind::kJoinV2:
       // Probe-side needs only: the build side has its own pipeline and is
       // planned separately.
       for (const auto& k : op.join->probe_keys) cols->insert(k);
@@ -225,8 +224,6 @@ Result<LogicalPlan> BuildLogicalPlan(const Query& query) {
       case PlanOp::Kind::kAggregate:
         plan.aggregate = op;
         break;
-      case PlanOp::Kind::kJoinV2:
-        return Status::Internal("kJoinV2 is a wire-only tag");
     }
   }
   return plan;

@@ -27,17 +27,15 @@ Result<std::vector<engine::FileRef>> GetFileRefs(BinaryReader* r) {
 }
 
 /// Structural validation of a parsed tree section: a payload whose range
-/// claims ids outside the fleet, overlaps a sibling's capacity, or does
-/// not match the declared tree shape must be a typed error, never a
-/// fleet of overlapping invocations.
+/// claims ids outside the fleet, overlaps a sibling's capacity, does not
+/// match the declared tree shape, or carries inputs for other ids than its
+/// descendants must be a typed error, never a fleet of overlapping
+/// invocations.
 Status ValidateTree(const InvocationPayload& p) {
   const TreeAssignment& t = p.tree;
-  if (t.generation == 0) {
-    return Status::Invalid("tree section with generation 0");
-  }
-  if (t.fanout.empty() || t.generation > t.fanout.size()) {
+  if (t.generation == 0 || t.generation > t.fanout.size()) {
     return Status::Invalid("tree generation " + std::to_string(t.generation) +
-                           " beyond the declared depth of " +
+                           " outside the declared depth of " +
                            std::to_string(t.fanout.size()));
   }
   if (t.subtree_end <= p.self.worker_id) {
@@ -51,21 +49,33 @@ Status ValidateTree(const InvocationPayload& p) {
   }
   // Capacity of one generation-t subtree under the declared fanouts; a
   // wider range would overlap the next sibling's claim.
+  const uint32_t range = t.subtree_end - p.self.worker_id;
   uint64_t cap = 1;
   for (size_t g = t.fanout.size() - 1; g + 1 > t.generation; --g) {
     cap = 1 + static_cast<uint64_t>(t.fanout[g]) * cap;
     if (cap > p.total_workers) break;  // Saturates; ranges are <= fleet.
   }
-  if (t.subtree_end - p.self.worker_id > cap) {
-    return Status::Invalid("subtree range of " +
-                           std::to_string(t.subtree_end - p.self.worker_id) +
+  if (range > cap) {
+    return Status::Invalid("subtree range of " + std::to_string(range) +
                            " ids overlaps the next sibling (generation-" +
                            std::to_string(t.generation) + " capacity " +
                            std::to_string(cap) + ")");
   }
-  if (!p.to_invoke.empty()) {
-    return Status::Invalid(
-        "payload carries both an explicit invoke list and a subtree range");
+  const size_t inline_inputs = t.inputs_key.empty() ? range - 1 : 0;
+  if (t.descendants.size() != inline_inputs) {
+    return Status::Invalid(std::to_string(t.descendants.size()) +
+                           " descendant inputs for a range of " +
+                           std::to_string(range) + " ids" +
+                           (t.inputs_key.empty() ? "" : " batched in a table"));
+  }
+  for (size_t i = 0; i < t.descendants.size(); ++i) {
+    if (t.descendants[i].worker_id != p.self.worker_id + 1 + i) {
+      return Status::Invalid("descendant input " + std::to_string(i) +
+                             " is for worker " +
+                             std::to_string(t.descendants[i].worker_id) +
+                             ", not " +
+                             std::to_string(p.self.worker_id + 1 + i));
+    }
   }
   return Status::OK();
 }
@@ -76,16 +86,8 @@ void WorkerInput::Serialize(BinaryWriter* w) const {
   w->PutU32(worker_id);
   PutFileRefs(w, files);
   PutFileRefs(w, build_files);
-  // Appended field (per the contract note above). Presence is conditioned
-  // on build_files being non-empty — deterministic on both sides — so
-  // single-table payloads stay bit-identical to the original layout. A
-  // multi-join worker whose slices are ALL empty loses its all-zero
-  // counts here; the worker reads missing ordinals as empty lists.
-  if (!build_files.empty()) {
-    w->PutVarint(build_counts.size());
-    for (uint32_t n : build_counts) w->PutU32(n);
-  }
-  // Appended field: the driver's invocation attempt for this worker.
+  w->PutVarint(build_counts.size());
+  for (uint32_t n : build_counts) w->PutU32(n);
   w->PutU32(attempt);
 }
 
@@ -94,14 +96,20 @@ Result<WorkerInput> WorkerInput::Deserialize(BinaryReader* r) {
   ASSIGN_OR_RETURN(in.worker_id, r->GetU32());
   ASSIGN_OR_RETURN(in.files, GetFileRefs(r));
   ASSIGN_OR_RETURN(in.build_files, GetFileRefs(r));
-  if (!in.build_files.empty()) {
-    ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
-    if (n > 10000) return Status::IOError("implausible build_counts");
-    in.build_counts.reserve(n);
-    for (uint64_t i = 0; i < n; ++i) {
-      ASSIGN_OR_RETURN(uint32_t c, r->GetU32());
-      in.build_counts.push_back(c);
-    }
+  ASSIGN_OR_RETURN(uint64_t n, r->GetVarint());
+  if (n > 10000) return Status::IOError("implausible build_counts");
+  in.build_counts.reserve(n);
+  uint64_t covered = 0;
+  for (uint64_t i = 0; i < n; ++i) {
+    ASSIGN_OR_RETURN(uint32_t c, r->GetU32());
+    in.build_counts.push_back(c);
+    covered += c;
+  }
+  if (covered != in.build_files.size()) {
+    return Status::Invalid("build_counts sum to " + std::to_string(covered) +
+                           ", not the " +
+                           std::to_string(in.build_files.size()) +
+                           " build files");
   }
   ASSIGN_OR_RETURN(in.attempt, r->GetU32());
   return in;
@@ -115,22 +123,15 @@ std::string InvocationPayload::Serialize() const {
   w.PutString(plan_key);
   w.PutString(result_queue);
   self.Serialize(&w);
-  w.PutVarint(to_invoke.size());
-  for (const auto& t : to_invoke) t.Serialize(&w);
   w.PutF64(data_scale);
   w.PutU8(hedge_gets ? 1 : 0);
-  // Appended tree-assignment section, written only when active: legacy
-  // payloads — including every two-level plan the driver emits by
-  // default — keep their released bytes, and Parse keys presence on
-  // remaining() > 0, which the trailing-bytes check makes unambiguous.
-  if (tree.active()) {
-    w.PutU8(1);  // Section version; unknown versions are a loud error.
-    w.PutU32(tree.subtree_end);
-    w.PutU32(tree.generation);
-    w.PutVarint(tree.fanout.size());
-    for (uint32_t f : tree.fanout) w.PutU32(f);
-    w.PutString(tree.inputs_key);
-  }
+  w.PutU32(tree.subtree_end);
+  w.PutU32(tree.generation);
+  w.PutVarint(tree.fanout.size());
+  for (uint32_t f : tree.fanout) w.PutU32(f);
+  w.PutString(tree.inputs_key);
+  w.PutVarint(tree.descendants.size());
+  for (const auto& d : tree.descendants) d.Serialize(&w);
   auto bytes = w.Take();
   return std::string(bytes.begin(), bytes.end());
 }
@@ -145,45 +146,33 @@ Result<InvocationPayload> InvocationPayload::Parse(const std::string& bytes) {
   ASSIGN_OR_RETURN(p.plan_key, r.GetString());
   ASSIGN_OR_RETURN(p.result_queue, r.GetString());
   ASSIGN_OR_RETURN(p.self, WorkerInput::Deserialize(&r));
-  ASSIGN_OR_RETURN(uint64_t n, r.GetVarint());
-  if (n > 100000) return Status::IOError("implausible invoke list");
-  p.to_invoke.reserve(n);
-  for (uint64_t i = 0; i < n; ++i) {
-    ASSIGN_OR_RETURN(WorkerInput in, WorkerInput::Deserialize(&r));
-    p.to_invoke.push_back(std::move(in));
-  }
   ASSIGN_OR_RETURN(p.data_scale, r.GetF64());
   ASSIGN_OR_RETURN(uint8_t hedge, r.GetU8());
   p.hedge_gets = hedge != 0;
-  // Appended tree-assignment section (presence = bytes remain).
-  if (r.remaining() != 0) {
-    ASSIGN_OR_RETURN(uint8_t version, r.GetU8());
-    if (version != 1) {
-      return Status::IOError("unknown payload tree-section version " +
-                             std::to_string(version));
-    }
-    ASSIGN_OR_RETURN(p.tree.subtree_end, r.GetU32());
-    ASSIGN_OR_RETURN(p.tree.generation, r.GetU32());
-    ASSIGN_OR_RETURN(uint64_t nf, r.GetVarint());
-    if (nf == 0 || nf > 16) {
-      return Status::IOError("implausible tree depth");
-    }
-    p.tree.fanout.reserve(nf);
-    for (uint64_t i = 0; i < nf; ++i) {
-      ASSIGN_OR_RETURN(uint32_t f, r.GetU32());
-      p.tree.fanout.push_back(f);
-    }
-    ASSIGN_OR_RETURN(p.tree.inputs_key, r.GetString());
-    RETURN_NOT_OK(ValidateTree(p));
+  ASSIGN_OR_RETURN(p.tree.subtree_end, r.GetU32());
+  ASSIGN_OR_RETURN(p.tree.generation, r.GetU32());
+  ASSIGN_OR_RETURN(uint64_t nf, r.GetVarint());
+  if (nf == 0 || nf > 16) return Status::IOError("implausible tree depth");
+  p.tree.fanout.reserve(nf);
+  for (uint64_t i = 0; i < nf; ++i) {
+    ASSIGN_OR_RETURN(uint32_t f, r.GetU32());
+    p.tree.fanout.push_back(f);
+  }
+  ASSIGN_OR_RETURN(p.tree.inputs_key, r.GetString());
+  ASSIGN_OR_RETURN(uint64_t nd, r.GetVarint());
+  if (nd > 100000) return Status::IOError("implausible descendant count");
+  for (uint64_t i = 0; i < nd; ++i) {
+    ASSIGN_OR_RETURN(WorkerInput in, WorkerInput::Deserialize(&r));
+    p.tree.descendants.push_back(std::move(in));
   }
   if (r.remaining() != 0) return Status::IOError("payload trailing bytes");
+  RETURN_NOT_OK(ValidateTree(p));
   return p;
 }
 
 void WorkerResultMetrics::Serialize(BinaryWriter* w) const {
-  // The registry's own wire format (sparse sections of (metric id, value)
-  // entries) replaces the original fixed 17-field layout — a breaking
-  // rewrite, legal because driver and workers always run the same build.
+  // The registry's own wire format: sparse sections of (metric id, value)
+  // entries.
   registry.Serialize(w);
 }
 

@@ -13,28 +13,25 @@
 namespace lambada::core {
 
 // The binary formats below follow the serialization contract stated in
-// core/plan.h: discriminator tags are append-only and never renumbered,
-// the field sequence of a released message is frozen (extending one means
-// appending fields *and* bumping no tag — driver and workers always run
-// the same build, and Parse rejects trailing bytes, so a mismatch is a
-// loud error, not silent misinterpretation), and readers bounds-check
-// every tag and count they consume.
+// core/plan.h: driver and workers always run the same build, so every
+// message has exactly one format; tags are discriminators; parsing is
+// strict — readers bounds-check every tag and count they consume, validate
+// cross-field invariants, and reject trailing bytes.
 
 /// The work assignment of one worker: its id and input files. Everything
-/// that differs per worker MUST live here — first-generation workers of
-/// the invocation tree rebuild their children's payloads from their own
-/// (core/worker.cc), swapping in only the child's WorkerInput.
+/// that differs per worker MUST live here — invokers build their
+/// children's payloads from their own (core/invocation_tree.cc), swapping
+/// in only the child's WorkerInput.
 struct WorkerInput {
   uint32_t worker_id = 0;
   std::vector<engine::FileRef> files;
   /// Build-relation files of a join fragment (often empty: the build
-  /// relation usually has fewer files than workers). With multiple joins
-  /// this is the concatenation of every join's list, in build-ordinal
-  /// order.
+  /// relation usually has fewer files than workers): the concatenation of
+  /// every join's list, in build-ordinal order.
   std::vector<engine::FileRef> build_files;
-  /// Slice lengths of `build_files` per join ordinal (multi-join
-  /// fragments). Empty = every build file belongs to ordinal 0, the
-  /// single-join layout.
+  /// Slice lengths of `build_files`, one per join of the fragment (none
+  /// for a single-table fragment). Parsing rejects counts that do not sum
+  /// to the file list.
   std::vector<uint32_t> build_counts;
   /// Which invocation attempt this is for `worker_id` (0 = first). The
   /// driver bumps it when it speculatively re-invokes a straggler or
@@ -46,33 +43,32 @@ struct WorkerInput {
   static Result<WorkerInput> Deserialize(BinaryReader* r);
 };
 
-/// N-level invocation-tree assignment (core/invocation_tree.h), riding in
-/// a payload as an appended section: a worker's claimed contiguous ID
-/// range, its generation, and the tree shape — everything it needs to
-/// derive and invoke its child subtrees locally. Inactive (generation 0)
-/// on legacy payloads, whose bytes stay exactly as released; with
-/// invocation batching `inputs_key` points at the per-worker input table
-/// in the plan bucket, so one gen-k call carries a whole ID range instead
-/// of every descendant's WorkerInput.
+/// A worker's place in the invocation tree (core/invocation_tree.h): its
+/// claimed contiguous ID range, its generation, and the tree shape —
+/// everything it needs to derive and invoke its child subtrees locally.
+/// The inputs of the range's other workers (its descendants) either ride
+/// inline in `descendants`, or — batched — live in the per-worker input
+/// table at `inputs_key`, so one call carries a whole ID range in O(1)
+/// bytes and every member fetches its own entry.
 struct TreeAssignment {
   /// Exclusive end of this worker's claimed range [self.worker_id, end).
   uint32_t subtree_end = 0;
-  /// 1-based generation; 0 = inactive (legacy explicit-to_invoke layout).
-  uint32_t generation = 0;
+  /// 1-based generation; the driver invokes generation 1.
+  uint32_t generation = 1;
   /// Tree shape (TreePlan::fanout); size() is the depth.
   std::vector<uint32_t> fanout;
-  /// S3 key of the worker-input table in plan_bucket; empty = the inputs
-  /// already ride in the payloads (fleets with no per-worker files).
+  /// S3 key of the worker-input table in plan_bucket; empty = the
+  /// descendants' inputs ride in `descendants`.
   std::string inputs_key;
-
-  bool active() const { return generation != 0; }
+  /// With an empty `inputs_key`: the WorkerInputs of ids
+  /// [self.worker_id + 1, subtree_end), in id order. Empty otherwise.
+  std::vector<WorkerInput> descendants;
 };
 
 /// The invocation payload of a serverless worker (Section 3.3). The plan
 /// fragment itself lives in S3 (payloads are limited to 256 KB); the
-/// payload carries the pointer, this worker's inputs, and — for
-/// first-generation workers of the invocation tree (Section 4.2) — the
-/// list of second-generation workers to invoke before starting.
+/// payload carries the pointer, this worker's inputs, and its subtree of
+/// the invocation tree (Section 4.2), which it starts before its own work.
 struct InvocationPayload {
   std::string query_id;
   uint32_t total_workers = 1;
@@ -80,15 +76,12 @@ struct InvocationPayload {
   std::string plan_key;
   std::string result_queue;
   WorkerInput self;
-  std::vector<WorkerInput> to_invoke;
   /// Virtual-scaling factor applied to modeled data sizes and CPU work
   /// (see DESIGN.md); 1.0 outside scaled experiments.
   double data_scale = 1.0;
   /// Whether workers should hedge slow object-store GETs (RunOptions
   /// knob, threaded through the payload so the whole fleet agrees).
   bool hedge_gets = false;
-  /// Invocation-tree assignment; serialized only when active, as an
-  /// appended section (legacy payloads keep their released bytes).
   TreeAssignment tree;
 
   std::string Serialize() const;
@@ -97,11 +90,10 @@ struct InvocationPayload {
 
 /// Per-worker execution metrics shipped back in the result message: a
 /// metrics registry keyed by the stable ids of src/obs/metrics.h (the id IS
-/// the wire tag — append-only, never renumbered — so the registry's
-/// sparse (id, value) encoding honors the contract above). The accessors
-/// cover what the driver and benches read; byte counters hold MODELED
-/// bytes (virtual scaling applied), the units of the latencies and costs
-/// beside them.
+/// the wire tag of the registry's sparse (id, value) encoding). The
+/// accessors cover what the driver and benches read; byte counters hold
+/// MODELED bytes (virtual scaling applied), the units of the latencies and
+/// costs beside them.
 struct WorkerResultMetrics {
   obs::MetricsRegistry registry;
 

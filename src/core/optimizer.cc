@@ -818,8 +818,6 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
         ex << "]\n";
         break;
       }
-      case PlanOp::Kind::kJoinV2:
-        break;  // Never an in-memory kind.
     }
   }
   for (const PlanOp& op : out.driver_ops) {

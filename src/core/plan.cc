@@ -74,6 +74,8 @@ Result<ExchangeSpec> ExchangeSpec::Deserialize(BinaryReader* r) {
 }
 
 void JoinSpec::Serialize(BinaryWriter* w) const {
+  w->PutU8(static_cast<uint8_t>(strategy));
+  w->PutVarint(static_cast<uint64_t>(build_ordinal));
   w->PutU8(static_cast<uint8_t>(type));
   PutStringVec(w, probe_keys);
   PutStringVec(w, build_keys);
@@ -90,6 +92,14 @@ Result<JoinSpec> JoinSpec::Deserialize(BinaryReader* r, int depth) {
     return Status::IOError("plan exceeds kMaxPlanDepth join nesting");
   }
   JoinSpec s;
+  ASSIGN_OR_RETURN(uint8_t strategy, r->GetU8());
+  if (strategy > static_cast<uint8_t>(JoinStrategy::kBroadcast)) {
+    return Status::IOError("bad join strategy");
+  }
+  s.strategy = static_cast<JoinStrategy>(strategy);
+  ASSIGN_OR_RETURN(uint64_t ordinal, r->GetVarint());
+  if (ordinal > 10000) return Status::IOError("implausible join ordinal");
+  s.build_ordinal = static_cast<int>(ordinal);
   ASSIGN_OR_RETURN(uint8_t type, r->GetU8());
   if (type > static_cast<uint8_t>(engine::JoinType::kLeftSemi)) {
     return Status::IOError("bad join type");
@@ -107,7 +117,7 @@ Result<JoinSpec> JoinSpec::Deserialize(BinaryReader* r, int depth) {
   if (n > 10000) return Status::IOError("implausible build op count");
   for (uint64_t i = 0; i < n; ++i) {
     ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
-    if (kind > static_cast<uint8_t>(PlanOp::Kind::kJoinV2)) {
+    if (kind > static_cast<uint8_t>(PlanOp::Kind::kJoin)) {
       return Status::IOError("bad plan op kind");
     }
     // A nested kJoin recurses one level deeper; JoinSpec::Deserialize
@@ -123,16 +133,7 @@ Result<JoinSpec> JoinSpec::Deserialize(BinaryReader* r, int depth) {
 }
 
 void PlanOp::Serialize(BinaryWriter* w) const {
-  // A join with non-default strategy/ordinal needs the extended tag: the
-  // v1 kJoin layout is frozen (see the serialization contract), so the
-  // extra fields ride under kJoinV2 instead of trailing the old form.
-  Kind tag = kind;
-  if (kind == Kind::kJoin &&
-      (join->strategy != JoinStrategy::kPartitioned ||
-       join->build_ordinal != 0)) {
-    tag = Kind::kJoinV2;
-  }
-  w->PutU8(static_cast<uint8_t>(tag));
+  w->PutU8(static_cast<uint8_t>(kind));
   switch (kind) {
     case Kind::kFilter:
       expr->Serialize(w);
@@ -157,11 +158,6 @@ void PlanOp::Serialize(BinaryWriter* w) const {
       for (const auto& a : aggs) a.Serialize(w);
       break;
     case Kind::kJoin:
-    case Kind::kJoinV2:  // In-memory kind is always kJoin.
-      if (tag == Kind::kJoinV2) {
-        w->PutU8(static_cast<uint8_t>(join->strategy));
-        w->PutVarint(static_cast<uint64_t>(join->build_ordinal));
-      }
       join->Serialize(w);
       break;
   }
@@ -169,7 +165,7 @@ void PlanOp::Serialize(BinaryWriter* w) const {
 
 Result<PlanOp> PlanOp::Deserialize(BinaryReader* r) {
   ASSIGN_OR_RETURN(uint8_t kind, r->GetU8());
-  if (kind > static_cast<uint8_t>(Kind::kJoinV2)) {
+  if (kind > static_cast<uint8_t>(Kind::kJoin)) {
     return Status::IOError("bad plan op kind");
   }
   return DeserializePlanOpBody(static_cast<Kind>(kind), r, 0);
@@ -221,22 +217,6 @@ Result<PlanOp> DeserializePlanOpBody(PlanOp::Kind kind, BinaryReader* r,
     }
     case Kind::kJoin: {
       ASSIGN_OR_RETURN(JoinSpec spec, JoinSpec::Deserialize(r, depth));
-      op.join = std::move(spec);
-      break;
-    }
-    case Kind::kJoinV2: {
-      ASSIGN_OR_RETURN(uint8_t strategy, r->GetU8());
-      if (strategy > static_cast<uint8_t>(JoinStrategy::kBroadcast)) {
-        return Status::IOError("bad join strategy");
-      }
-      ASSIGN_OR_RETURN(uint64_t ordinal, r->GetVarint());
-      if (ordinal > 10000) {
-        return Status::IOError("implausible join ordinal");
-      }
-      ASSIGN_OR_RETURN(JoinSpec spec, JoinSpec::Deserialize(r, depth));
-      spec.strategy = static_cast<JoinStrategy>(strategy);
-      spec.build_ordinal = static_cast<int>(ordinal);
-      op.kind = PlanOp::Kind::kJoin;  // Normalize the wire-only tag.
       op.join = std::move(spec);
       break;
     }

@@ -18,26 +18,20 @@ namespace lambada::core {
 // ---------------------------------------------------------------------------
 // Plan fragments travel from the driver to workers through S3 (the payload
 // carries only a pointer), so every struct below has a binary form. The
-// rules that keep that form evolvable:
+// rules:
 //
-//  * **Tag compatibility.** Variant-like structs (PlanOp via its `kind`
-//    byte, engine::Expr via its `Kind` byte) are discriminated by a
-//    one-byte tag. Tags are append-only: a new operator or expression
-//    claims the next unused value (kJoin took 5 after kAggregate's 4) and
-//    existing tags are NEVER renumbered or reused, so any recorded plan
-//    bytes keep meaning the same thing. Readers bounds-check the tag and
-//    reject unknown values instead of guessing.
-//  * **Fixed layout within a tag.** The field sequence serialized for one
-//    tag is frozen once released. Extending an operator means a new tag
-//    (e.g. a hypothetical kJoinV2), not new trailing fields on the old
-//    one — readers consume exactly the fields they know, and
-//    `PlanFragment::Deserialize` rejects trailing bytes, so silent
-//    truncation or overhang is impossible.
-//  * **Same-release pairing.** Driver and workers always run the same
+//  * **One format per build.** Driver and workers always run the same
 //    build (the driver uploads the plan the moment it fans out), so there
-//    is no cross-version skew to tolerate at runtime; the two rules above
-//    exist so that *adding* operators like kJoin is a local, reviewable
-//    change with a stated contract rather than an ad-hoc format edit.
+//    is no cross-version skew to tolerate and no old layout to keep: each
+//    struct has exactly one field sequence, and changing it is an
+//    ordinary code change on both sides at once.
+//  * **Tags are discriminators.** Variant-like structs (PlanOp via its
+//    `kind` byte, engine::Expr via its `Kind` byte) are told apart by a
+//    one-byte tag, one tag per in-memory kind. Readers bounds-check the
+//    tag and reject unknown values instead of guessing.
+//  * **Parsing is strict.** Readers consume exactly the fields of the
+//    format, bounds-check every count, and `PlanFragment::Deserialize`
+//    rejects trailing bytes, so truncation or overhang is a typed error.
 //
 // The same rules govern the SQS/Invoke messages in core/messages.h.
 
@@ -156,8 +150,8 @@ struct JoinSpec {
 
 /// One operator applied to chunks after the scan, in order.
 ///
-/// Serialized as the one-byte kind tag followed by that kind's fixed field
-/// sequence — see the serialization contract above before adding kinds.
+/// Serialized as the one-byte kind tag followed by that kind's field
+/// sequence (see the serialization contract above).
 struct PlanOp {
   enum class Kind : uint8_t {
     kFilter = 0,     ///< Keep rows where `expr` is non-zero.
@@ -168,11 +162,6 @@ struct PlanOp {
                      ///< partial state).
     kJoin = 5,       ///< Hash join against a second scan pipeline
                      ///< (pipeline breaker; see JoinSpec).
-    kJoinV2 = 6,     ///< Wire-only tag: kJoin plus an explicit strategy
-                     ///< byte and build ordinal (the v1 tag's layout is
-                     ///< frozen, so the extended form claimed the next
-                     ///< tag). Normalized to kJoin on read; never the
-                     ///< in-memory kind.
   };
 
   Kind kind = Kind::kFilter;

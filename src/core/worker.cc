@@ -1,6 +1,7 @@
 #include "core/worker.h"
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -85,46 +86,56 @@ engine::ScanOptions MakeScanOptions(const ScanTuning& tuning,
   return scan_options;
 }
 
-/// Scans `files` and streams every chunk through the row ops
-/// [ops_begin, ops_end) of `ops`, concatenating the survivors: one scan
-/// pipeline of a join fragment (the probe stage, or — with the JoinSpec's
-/// op list — the build side). Scan counters accumulate into `metrics`.
+/// Scans `files` and streams every chunk through the leading row ops
+/// [0, n_ops) of `ops`: one scan pipeline of a fragment (the probe scan,
+/// or — with a JoinSpec's op list — a build side). The survivors are
+/// concatenated; with an `agg` (the fragment's first pipeline breaker is
+/// its terminal aggregate) they stream into it instead, reserving no
+/// memory per chunk, and the pipeline returns the partial state. Row-op
+/// and aggregation CPU is charged once after the scan, when the row count
+/// is known; the dominant in-scan costs (decompression, residual filter)
+/// are charged inside the scan. Scan counters accumulate into `metrics`.
 sim::Async<Result<TableChunk>> RunScanPipeline(
     cloud::WorkerEnv& env, const std::vector<engine::FileRef>& files,
     engine::ScanOptions scan_options, const std::vector<PlanOp>& ops,
-    size_t ops_begin, size_t ops_end, const char* phase_label,
+    size_t n_ops, engine::HashAggregator* agg, const char* phase_label,
     WorkerResultMetrics* metrics) {
-  // Scope a scan span over the whole pipeline; the per-row-group child
-  // spans created inside S3ParquetScan parent under it.
-  cloud::EnvSpan span(&env, "scan", phase_label);
   std::vector<TableChunk> collected;
   int64_t collected_bytes = 0;
   auto sink = [&](const TableChunk& chunk) -> Status {
     TableChunk current = chunk;
-    for (size_t i = ops_begin; i < ops_end; ++i) {
+    for (size_t i = 0; i < n_ops; ++i) {
       auto next = ApplyRowOp(ops[i], std::move(current));
       if (!next.ok()) return next.status();
       current = *std::move(next);
     }
+    if (agg != nullptr) return agg->ConsumeInput(current);
     RETURN_NOT_OK(env.ReserveMemory(current.memory_bytes()));
     collected_bytes += current.memory_bytes();
     collected.push_back(std::move(current));
     return Status::OK();
   };
-  double scan_start = env.sim()->Now();
-  auto scan_stats =
-      co_await engine::S3ParquetScan(env, files, scan_options, sink);
-  if (!scan_stats.ok()) co_return scan_stats.status();
+  const double scan_start = env.sim()->Now();
+  Result<engine::ScanStats> scan_stats = Status::Internal("scan not run");
+  {
+    // The span covers exactly the recorded phase; the per-row-group child
+    // spans created inside S3ParquetScan parent under it.
+    cloud::EnvSpan span(&env, "scan", phase_label);
+    scan_stats =
+        co_await engine::S3ParquetScan(env, files, scan_options, sink);
+    if (!scan_stats.ok()) co_return scan_stats.status();
+    if (span.id() != 0) {
+      env.tracer()->AddArg(span.id(), "rows", scan_stats->rows_emitted());
+      env.tracer()->AddArg(span.id(), "bytes", scan_stats->bytes_moved());
+    }
+  }
   env.RecordPhase(phase_label, scan_start);
   metrics->registry.Merge(scan_stats->registry);
-  if (span.id() != 0) {
-    env.tracer()->AddArg(span.id(), "rows", scan_stats->rows_emitted());
-    env.tracer()->AddArg(span.id(), "bytes", scan_stats->bytes_moved());
-  }
-  co_await env.Compute(static_cast<double>(scan_stats->rows_emitted()) *
-                       kRowOpCpuPerRow *
-                       static_cast<double>(ops_end - ops_begin) *
-                       env.data_scale);
+  const double rows = static_cast<double>(scan_stats->rows_emitted());
+  double cpu = rows * kRowOpCpuPerRow * static_cast<double>(n_ops);
+  if (agg != nullptr) cpu += rows * kAggCpuPerRow;
+  co_await env.Compute(cpu * env.data_scale);
+  if (agg != nullptr) co_return agg->PartialState();
   auto out = engine::ConcatChunks(collected);
   env.ReleaseMemory(collected_bytes);
   if (!out.ok()) co_return out.status();
@@ -151,82 +162,31 @@ void AddExchangeMetrics(WorkerResultMetrics* metrics,
           real_read);
 }
 
-/// Runs the tail of a fragment after its last pipeline breaker (exchange
-/// or join): the row ops [begin, ops.size()) and the optional terminal
-/// aggregate. A schema-less empty `current` — a worker that sent and
-/// received nothing — short-circuits to the empty terminal, since row ops
-/// cannot resolve their columns against no schema.
-sim::Async<Result<TableChunk>> RunPostOps(cloud::WorkerEnv& env,
-                                          const PlanFragment& fragment,
-                                          size_t begin,
-                                          TableChunk current) {
-  size_t end = fragment.ops.size();
-  bool aggregates = fragment.EndsInAggregate();
-  if (aggregates) --end;
-  if (current.num_columns() == 0) {
-    if (aggregates) {
-      const PlanOp& op = fragment.ops.back();
-      engine::HashAggregator agg(op.group_by, op.aggs);
-      co_return agg.PartialState();
-    }
-    co_return current;
-  }
-  for (size_t i = begin; i < end; ++i) {
-    co_await env.Compute(static_cast<double>(current.num_rows()) *
-                         kRowOpCpuPerRow * env.data_scale);
-    auto next = ApplyRowOp(fragment.ops[i], std::move(current));
-    if (!next.ok()) co_return next.status();
-    current = *std::move(next);
-  }
-  if (aggregates) {
-    const PlanOp& op = fragment.ops.back();
-    engine::HashAggregator agg(op.group_by, op.aggs);
-    co_await env.Compute(static_cast<double>(current.num_rows()) *
-                         kAggCpuPerRow * env.data_scale);
-    if (current.num_rows() > 0) {
-      CO_RETURN_NOT_OK(agg.ConsumeInput(current));
-    }
-    co_return agg.PartialState();
-  }
-  co_return current;
-}
-
-/// Executes a join fragment (Section 4.4 put to work, generalized to a
-/// chain of joins). The probe pipeline scans once; then, per kJoin op in
-/// fragment order: build pipeline (scan -> row ops), the join's exchanges
-/// for a partitioned join (build side first, then the probe side's
-/// pending kExchange — every worker uses this order, so the rounds line
-/// up across the fleet), or no exchange at all for a broadcast join
-/// (every worker holds the whole build relation), then the local hash
-/// join. Row ops between joins run on the current pipeline; a terminal
-/// aggregate produces the partial state.
-sim::Async<Result<TableChunk>> ExecuteJoinFragment(
+/// Executes the plan fragment over the worker's inputs and returns the
+/// worker's partial result (the serverless scope of Section 3.2; joins
+/// per Section 4.4, generalized to a chain). A single-table fragment is a
+/// join fragment with zero joins. The probe scan pipeline runs up to the
+/// first pipeline breaker; then, op by op: an exchange (deferred when it
+/// feeds a join — it is that partitioned join's probe side and runs after
+/// the build side's exchange; every worker uses this order, so the rounds
+/// line up across the fleet), a join (build scan pipeline, the build
+/// exchange of a partitioned join — a broadcast join runs none, every
+/// worker holds the whole build relation — then the local hash join), row
+/// ops on the current pipeline, and the terminal aggregate's partial
+/// state.
+sim::Async<Result<TableChunk>> ExecuteFragment(
     cloud::WorkerEnv& env, const PlanFragment& fragment,
     const InvocationPayload& payload, WorkerResultMetrics* metrics) {
   const int p = static_cast<int>(payload.self.worker_id);
   const int P = static_cast<int>(payload.total_workers);
 
-  // Slice the payload's build files into per-join lists. An empty
-  // build_counts is the single-join layout: everything belongs to the
-  // first join.
+  // Slice the payload's build files into per-join lists, one count per
+  // join (parsing checked that the counts cover the list).
   std::vector<std::vector<engine::FileRef>> build_files;
-  if (payload.self.build_counts.empty()) {
-    build_files.push_back(payload.self.build_files);
-  } else {
-    size_t offset = 0;
-    for (uint32_t n : payload.self.build_counts) {
-      if (offset + n > payload.self.build_files.size()) {
-        co_return Status::Invalid("build_counts exceed the build file list");
-      }
-      build_files.emplace_back(
-          payload.self.build_files.begin() + static_cast<std::ptrdiff_t>(offset),
-          payload.self.build_files.begin() +
-              static_cast<std::ptrdiff_t>(offset + n));
-      offset += n;
-    }
-    if (offset != payload.self.build_files.size()) {
-      co_return Status::Invalid("build_counts do not cover the file list");
-    }
+  auto next_file = payload.self.build_files.begin();
+  for (uint32_t n : payload.self.build_counts) {
+    build_files.emplace_back(next_file, next_file + n);
+    next_file += n;
   }
 
   auto run_exchange = [&](const ExchangeSpec& spec, TableChunk in)
@@ -263,12 +223,19 @@ sim::Async<Result<TableChunk>> ExecuteJoinFragment(
       break;
     }
   }
+  // A terminal aggregate right behind the scan pipeline consumes the scan
+  // stream directly.
+  std::optional<engine::HashAggregator> scan_agg;
+  if (first_break + 1 == fragment.ops.size() && fragment.EndsInAggregate()) {
+    scan_agg.emplace(fragment.ops.back().group_by, fragment.ops.back().aggs);
+  }
   auto probe_local = co_await RunScanPipeline(
       env, payload.self.files,
       MakeScanOptions(fragment.tuning, fragment.scan_projection,
                       fragment.scan_filter),
-      fragment.ops, 0, first_break, "scan", metrics);
-  if (!probe_local.ok()) co_return probe_local.status();
+      fragment.ops, first_break, scan_agg ? &*scan_agg : nullptr, "scan",
+      metrics);
+  if (!probe_local.ok() || scan_agg) co_return std::move(probe_local);
   TableChunk current = *std::move(probe_local);
 
   size_t next_build = 0;               // Next join's build-file ordinal.
@@ -304,28 +271,18 @@ sim::Async<Result<TableChunk>> ExecuteJoinFragment(
           co_return Status::Invalid(
               "broadcast join cannot follow a probe-side exchange");
         }
-        size_t ordinal = static_cast<size_t>(join.build_ordinal);
-        if (ordinal != next_build) {
-          co_return Status::Invalid("join build ordinal has no file list");
-        }
-        // Ordinals past the sliced lists are legal only when this worker
-        // got no build files at all: the all-zero counts are elided from
-        // the wire (messages.cc), so every join's slice is empty.
-        static const std::vector<engine::FileRef> kNoFiles;
-        const std::vector<engine::FileRef>* ordinal_files = &kNoFiles;
-        if (ordinal < build_files.size()) {
-          ordinal_files = &build_files[ordinal];
-        } else if (!payload.self.build_files.empty()) {
+        const size_t ordinal = static_cast<size_t>(join.build_ordinal);
+        if (ordinal != next_build || ordinal >= build_files.size()) {
           co_return Status::Invalid("join build ordinal has no file list");
         }
         ++next_build;
 
         // ---- Build side. ----
         auto build_local = co_await RunScanPipeline(
-            env, *ordinal_files,
+            env, build_files[ordinal],
             MakeScanOptions(fragment.tuning, join.build_scan_projection,
                             join.build_scan_filter),
-            join.build_ops, 0, join.build_ops.size(), "scan-build",
+            join.build_ops, join.build_ops.size(), nullptr, "scan-build",
             metrics);
         if (!build_local.ok()) co_return build_local.status();
         TableChunk build_chunk = *std::move(build_local);
@@ -425,142 +382,9 @@ sim::Async<Result<TableChunk>> ExecuteJoinFragment(
         }
         co_return agg.PartialState();
       }
-      default:
-        co_return Status::Invalid("unexpected op in a join fragment");
     }
   }
   co_return current;
-}
-
-/// Executes the plan fragment over the worker's files; returns the
-/// worker's partial result chunk.
-sim::Async<Result<TableChunk>> ExecuteFragment(
-    cloud::WorkerEnv& env, const PlanFragment& fragment,
-    const InvocationPayload& payload, WorkerResultMetrics* metrics) {
-  // Join fragments take the join path; the single-table pipeline below is
-  // untouched.
-  if (fragment.JoinIndex() >= 0) {
-    co_return co_await ExecuteJoinFragment(env, fragment, payload, metrics);
-  }
-  // Split the pipeline at the exchange (a pipeline breaker).
-  int exchange_at = -1;
-  for (size_t i = 0; i < fragment.ops.size(); ++i) {
-    if (fragment.ops[i].kind == PlanOp::Kind::kExchange) {
-      if (exchange_at >= 0) {
-        co_return Status::NotImplemented(
-            "multiple exchanges in one fragment");
-      }
-      exchange_at = static_cast<int>(i);
-    }
-  }
-  size_t stage1_end = exchange_at >= 0 ? static_cast<size_t>(exchange_at)
-                                       : fragment.ops.size();
-  // A terminal aggregate in stage 1 (no exchange after it)?
-  bool stage1_aggregates = exchange_at < 0 && fragment.EndsInAggregate();
-  if (stage1_aggregates) --stage1_end;
-
-  std::unique_ptr<engine::HashAggregator> agg;
-  if (stage1_aggregates) {
-    const PlanOp& op = fragment.ops.back();
-    agg = std::make_unique<engine::HashAggregator>(op.group_by, op.aggs);
-  }
-  std::vector<TableChunk> collected;
-  int64_t collected_bytes = 0;
-
-  engine::ScanOptions scan_options = MakeScanOptions(
-      fragment.tuning, fragment.scan_projection, fragment.scan_filter);
-
-  // The fused pipeline: row ops + terminal consumer, run per scanned
-  // chunk. CPU for these stages is charged after the scan completes
-  // (chunk sizes are known then); the dominant in-scan costs
-  // (decompression, residual filter) are charged inside the scan.
-  Status pipeline_status = Status::OK();
-  auto sink = [&](const TableChunk& chunk) -> Status {
-    TableChunk current = chunk;
-    for (size_t i = 0; i < stage1_end; ++i) {
-      auto next = ApplyRowOp(fragment.ops[i], std::move(current));
-      if (!next.ok()) return next.status();
-      current = *std::move(next);
-    }
-    if (agg != nullptr) {
-      return agg->ConsumeInput(current);
-    }
-    RETURN_NOT_OK(env.ReserveMemory(current.memory_bytes()));
-    collected_bytes += current.memory_bytes();
-    collected.push_back(std::move(current));
-    return Status::OK();
-  };
-
-  double scan_start = env.sim()->Now();
-  Result<engine::ScanStats> scan_stats = Status::Internal("scan not run");
-  {
-    cloud::EnvSpan scan_span(&env, "scan", "scan");
-    scan_stats = co_await engine::S3ParquetScan(
-        env, payload.self.files, scan_options, sink);
-    if (!scan_stats.ok()) co_return scan_stats.status();
-    if (scan_span.id() != 0) {
-      env.tracer()->AddArg(scan_span.id(), "rows",
-                           scan_stats->rows_emitted());
-      env.tracer()->AddArg(scan_span.id(), "bytes",
-                           scan_stats->bytes_moved());
-    }
-  }
-  env.RecordPhase("scan", scan_start);
-  metrics->registry.Merge(scan_stats->registry);
-  // Post-scan pipeline CPU (row ops + aggregation).
-  double pipeline_rows = static_cast<double>(scan_stats->rows_emitted());
-  double pipeline_cpu =
-      pipeline_rows * kRowOpCpuPerRow * static_cast<double>(stage1_end);
-  if (agg != nullptr) pipeline_cpu += pipeline_rows * kAggCpuPerRow;
-  co_await env.Compute(pipeline_cpu * env.data_scale);
-  if (!pipeline_status.ok()) co_return pipeline_status;
-
-  if (agg != nullptr) {
-    co_return agg->PartialState();
-  }
-
-  auto stage1_out = engine::ConcatChunks(collected);
-  env.ReleaseMemory(collected_bytes);
-  collected.clear();
-  if (!stage1_out.ok()) co_return stage1_out.status();
-  if (exchange_at < 0) {
-    co_return *std::move(stage1_out);
-  }
-
-  // ---- Exchange + stage 2 ----
-  const PlanOp& ex_op = fragment.ops[static_cast<size_t>(exchange_at)];
-  double ex_start = env.sim()->Now();
-  Result<TableChunk> exchanged = Status::Internal("exchange not run");
-  {
-    cloud::EnvSpan ex_span(&env, "exchange", "exchange");
-    if (ex_span.id() != 0) {
-      env.tracer()->AddArg(ex_span.id(), "exchange_id",
-                           ex_op.exchange->exchange_id);
-    }
-    ExchangeMetrics xm;
-    exchanged = co_await RunExchange(
-        env, *ex_op.exchange, static_cast<int>(payload.self.worker_id),
-        static_cast<int>(payload.total_workers), *std::move(stage1_out), &xm);
-    if (!exchanged.ok()) co_return exchanged.status();
-    AddExchangeMetrics(metrics, xm, env.data_scale);
-    if (ex_span.id() != 0) {
-      env.tracer()->AddArg(
-          ex_span.id(), "bytes_written",
-          static_cast<int64_t>(static_cast<double>(xm.bytes_written()) *
-                               env.data_scale));
-      env.tracer()->AddArg(
-          ex_span.id(), "bytes_read",
-          static_cast<int64_t>(static_cast<double>(xm.bytes_read()) *
-                               env.data_scale));
-      env.tracer()->AddArg(ex_span.id(), "puts", xm.put_requests());
-      env.tracer()->AddArg(ex_span.id(), "gets", xm.get_requests());
-    }
-  }
-  env.RecordPhase("exchange", ex_start);
-
-  co_return co_await RunPostOps(env, fragment,
-                                static_cast<size_t>(exchange_at) + 1,
-                                *std::move(exchanged));
 }
 
 /// Sends the (success or error) result message, spilling large payloads
@@ -636,14 +460,12 @@ sim::Async<Status> WorkerMain(cloud::WorkerEnv& env, std::string raw) {
   }
 
   // ---- Invocation tree: start the next generations first (§4.2). ----
-  // Both layouts go through core/invocation_tree.h: legacy explicit
-  // to_invoke lists and batched subtree ranges. An invoker-loss fate
-  // consumed inside marks the environment crashed — the branch dies
-  // silently, exactly like a worker crash.
+  // Children derive from the payload's subtree range
+  // (core/invocation_tree.h). An invoker-loss fate consumed inside marks
+  // the environment crashed — the branch dies silently, exactly like a
+  // worker crash.
   const bool has_children =
-      !payload.to_invoke.empty() ||
-      (payload.tree.active() &&
-       payload.tree.subtree_end > payload.self.worker_id + 1);
+      payload.tree.subtree_end > payload.self.worker_id + 1;
   if (has_children) {
     cloud::EnvSpan invoke_span(&env, "worker", "invoke-children");
     double t0 = env.sim()->Now();
@@ -667,7 +489,7 @@ sim::Async<Status> WorkerMain(cloud::WorkerEnv& env, std::string raw) {
   // The payload carried only the subtree range; the per-worker input
   // table in S3 holds everything that differs per worker. Two small
   // ranged GETs: the offset pair, then the blob.
-  if (payload.tree.active() && !payload.tree.inputs_key.empty()) {
+  if (!payload.tree.inputs_key.empty()) {
     cloud::EnvSpan fetch_span(&env, "worker", "fetch-inputs");
     cloud::S3Client client(env.services().s3, env.net());
     Status fetched = Status::OK();

@@ -216,11 +216,16 @@ TEST(MessagesTest, PayloadRoundTrip) {
   p.self.files = {{"data", "part-0.lpq"}, {"data", "part-1.lpq"}};
   p.self.build_files = {{"data", "orders-0.lpq"}, {"data", "cust-0.lpq"}};
   p.self.build_counts = {1, 1};  // Two joins' build slices.
+  // A payload claiming ids [3, 5) of a 64-worker depth-2 tree (fanout
+  // 8x7): its one descendant's inputs ride inline.
+  p.tree.subtree_end = 5;
+  p.tree.fanout = {8, 7};
   WorkerInput child;
   child.worker_id = 4;
   child.files = {{"data", "part-2.lpq"}};
   child.build_files = {{"data", "orders-1.lpq"}};
-  p.to_invoke.push_back(child);
+  child.build_counts = {1, 0};  // Nothing for the second join.
+  p.tree.descendants.push_back(child);
 
   auto back = InvocationPayload::Parse(p.Serialize());
   ASSERT_TRUE(back.ok()) << back.status().ToString();
@@ -230,13 +235,14 @@ TEST(MessagesTest, PayloadRoundTrip) {
   ASSERT_EQ(back->self.build_files.size(), 2u);
   EXPECT_EQ(back->self.build_files[0].key, "orders-0.lpq");
   EXPECT_EQ(back->self.build_counts, (std::vector<uint32_t>{1, 1}));
-  // A single-join child payload leaves build_counts empty.
-  EXPECT_TRUE(back->to_invoke[0].build_counts.empty());
-  ASSERT_EQ(back->to_invoke.size(), 1u);
-  EXPECT_EQ(back->to_invoke[0].worker_id, 4u);
+  ASSERT_EQ(back->tree.descendants.size(), 1u);
+  EXPECT_EQ(back->tree.descendants[0].worker_id, 4u);
+  // Every WorkerInput carries one count per join, empty slices included.
+  EXPECT_EQ(back->tree.descendants[0].build_counts,
+            (std::vector<uint32_t>{1, 0}));
   // Build files are part of the per-worker WorkerInput, so the invocation
   // tree forwards each child its own.
-  EXPECT_EQ(back->to_invoke[0].build_files[0].key, "orders-1.lpq");
+  EXPECT_EQ(back->tree.descendants[0].build_files[0].key, "orders-1.lpq");
   EXPECT_DOUBLE_EQ(back->data_scale, 12.5);
 }
 
@@ -1101,6 +1107,118 @@ TEST_F(DriverFixture, MissingBuildFilesFails) {
   EXPECT_TRUE(report.status().IsNotFound());
 }
 
+/// Uploads `files` files of a (g, k, x) table to s3://data/<prefix>:
+/// g in 0..7, k in 0..999, x integer-valued so every sum is exact in any
+/// order.
+void UploadGroupedTable(cloud::Cloud* cloud, const std::string& prefix,
+                        int files) {
+  LAMBADA_CHECK_OK(cloud->s3().CreateBucket("data"));
+  auto schema = std::make_shared<Schema>(
+      std::vector<Field>{{"g", DataType::kInt64},
+                         {"k", DataType::kInt64},
+                         {"x", DataType::kFloat64}});
+  Rng rng(11);
+  for (int f = 0; f < files; ++f) {
+    std::vector<int64_t> g, k;
+    std::vector<double> x;
+    for (int i = 0; i < 300; ++i) {
+      g.push_back(rng.UniformInt(0, 7));
+      k.push_back(rng.UniformInt(0, 999));
+      x.push_back(static_cast<double>(f * 300 + i));
+    }
+    TableChunk t(schema, {Column::Int64(std::move(g)),
+                          Column::Int64(std::move(k)),
+                          Column::Float64(std::move(x))});
+    format::WriterOptions wo;
+    wo.row_group_rows = 100;
+    auto file = format::FileWriter::WriteTable(t, wo);
+    LAMBADA_CHECK_OK(file);
+    LAMBADA_CHECK_OK(cloud->s3().PutDirect(
+        "data", prefix + "part-" + std::to_string(f) + ".lpq",
+        Buffer::FromVector(*std::move(file))));
+  }
+}
+
+TEST(FragmentExecutorTest, TwoRepartitionsMatchOneAtEveryThreadCount) {
+  // A single-table fragment with two exchanges runs on the one fragment
+  // executor like a join fragment does; its per-group result equals the
+  // one-exchange query's at 1, 2 and 8 worker threads.
+  using Groups = std::map<int64_t, std::pair<double, int64_t>>;
+  auto run = [](int exchanges, int threads) {
+    cloud::Cloud cloud;
+    DriverOptions dopts;
+    if (threads > 1) {
+      dopts.worker_exec = exec::ExecContext::Parallel(threads, 64);
+    }
+    Driver driver(&cloud, dopts);
+    LAMBADA_CHECK_OK(driver.Install());
+    UploadGroupedTable(&cloud, "t/", 8);
+    Query q = Query::FromParquet("s3://data/t/*.lpq");
+    if (exchanges == 2) {
+      q = q.Repartition({"k"}).Filter(Col("k") >= Lit(int64_t{0}));
+    }
+    q = q.Repartition({"g"}).Aggregate(
+        {"g"}, {engine::Sum(Col("x"), "s"), engine::Count("n")});
+    auto report = driver.RunToCompletion(q, RunOptions{});
+    LAMBADA_CHECK(report.ok()) << report.status().ToString();
+    LAMBADA_CHECK(report->fleet_metrics.counter(
+                      obs::Metric::kExchangeRounds) ==
+                  int64_t{8} * 2 * exchanges);  // 8 workers x 2 levels.
+    Groups groups;
+    const TableChunk& r = report->result;
+    for (size_t i = 0; i < r.num_rows(); ++i) {
+      groups[r.column(0).i64()[i]] = {r.column(1).f64()[i],
+                                      r.column(2).i64()[i]};
+    }
+    return groups;
+  };
+  const Groups ref = run(1, 1);
+  ASSERT_EQ(ref.size(), 8u);
+  for (int threads : {1, 2, 8}) {
+    EXPECT_EQ(run(2, threads), ref) << threads << " threads";
+  }
+}
+
+TEST(FragmentExecutorTest, ExchangeGridShrinkIsExplained) {
+  // 17 is prime and has no balanced two-level grid, so a partitioned join
+  // over 17 files runs on 16 workers — and EXPLAIN says so.
+  cloud::Cloud cloud;
+  Driver driver(&cloud);
+  ASSERT_TRUE(driver.Install().ok());
+  UploadGroupedTable(&cloud, "t/", 17);
+  auto dim_schema = std::make_shared<Schema>(
+      std::vector<Field>{{"dg", DataType::kInt64}});
+  TableChunk dim(dim_schema, {Column::Int64({0, 1, 2, 3, 4, 5, 6, 7})});
+  auto dim_file = format::FileWriter::WriteTable(dim, format::WriterOptions{});
+  ASSERT_TRUE(dim_file.ok());
+  ASSERT_TRUE(cloud.s3()
+                  .PutDirect("data", "dim/part-0.lpq",
+                             Buffer::FromVector(*std::move(dim_file)))
+                  .ok());
+  auto q = Query::FromParquet("s3://data/t/*.lpq")
+               .JoinWith(Query::FromParquet("s3://data/dim/*.lpq")
+                             .Select({Col("dg")}, {"dg"}),
+                         {"g"}, {"dg"}, engine::JoinType::kLeftSemi)
+               .ReduceCount();
+  RunOptions opts;
+  opts.join_strategy = JoinStrategyOverride::kForcePartitioned;
+  auto report = driver.RunToCompletion(q, opts);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->workers, 16);
+  EXPECT_EQ(report->result.column(0).i64()[0], 17 * 300);
+  EXPECT_NE(report->explain_text.find("workers: 17 -> 16 (exchange grid)"),
+            std::string::npos)
+      << report->explain_text;
+  EXPECT_NE(report->explain_analyze_text.find("workers: 17 -> 16"),
+            std::string::npos);
+  // A broadcast join runs no exchange, so the fleet keeps all 17.
+  opts.join_strategy = JoinStrategyOverride::kForceBroadcast;
+  auto broadcast = driver.RunToCompletion(q, opts);
+  ASSERT_TRUE(broadcast.ok()) << broadcast.status().ToString();
+  EXPECT_EQ(broadcast->workers, 17);
+  EXPECT_EQ(broadcast->explain_text.find("workers:"), std::string::npos);
+}
+
 // ---------------------------------------------------------------------------
 // Two-level invocation tree
 // ---------------------------------------------------------------------------
@@ -1146,7 +1264,7 @@ TEST(InvocationTreeTest, AllWorkersStartAndInvocationIsSublinear) {
 TEST(InvocationTreeTest, DirectInvocationAlsoWorks) {
   cloud::Cloud cloud;
   DriverOptions dopts;
-  dopts.two_level_invocation = false;
+  dopts.invocation_tree_depth = 1;
   Driver driver(&cloud, dopts);
   ASSERT_TRUE(driver.Install().ok());
   ASSERT_TRUE(cloud.s3().CreateBucket("data").ok());

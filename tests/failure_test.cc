@@ -96,7 +96,7 @@ TEST(FailureTest, DriverRetriesThroughConcurrencyThrottling) {
   cfg.concurrency_limit = 4;
   cloud::Cloud cloud(cfg);
   DriverOptions dopts;
-  dopts.two_level_invocation = false;  // All 16 invokes from the driver.
+  dopts.invocation_tree_depth = 1;  // All 16 invokes from the driver.
   Driver driver(&cloud, dopts);
   ASSERT_TRUE(driver.Install().ok());
   UploadTable(cloud, "throttle/", 16, 2000);
@@ -787,7 +787,6 @@ class TenKFleetChaosTest : public ::testing::Test {
   struct FleetRun {
     std::vector<uint8_t> bytes;
     int tree_depth = 0;
-    bool batched = false;
     int subtree_reinvocations = 0;
     int reinvoked_workers = 0;
     int workers = 0;
@@ -843,7 +842,6 @@ class TenKFleetChaosTest : public ::testing::Test {
     FleetRun run;
     run.bytes = engine::SerializeChunk(report->result);
     run.tree_depth = report->tree_depth;
-    run.batched = report->batched_invocation;
     run.subtree_reinvocations = report->subtree_reinvocations;
     run.reinvoked_workers = report->reinvoked_workers;
     run.workers = report->workers;
@@ -854,8 +852,7 @@ class TenKFleetChaosTest : public ::testing::Test {
   void Grid(int query, const cloud::FaultPlan& fault) {
     FleetRun ref = RunFleet(query, cloud::FaultPlan{});
     EXPECT_EQ(ref.invoker_crashes, 0);
-    EXPECT_EQ(ref.tree_depth, 3);
-    EXPECT_TRUE(ref.batched);
+    EXPECT_EQ(ref.tree_depth, 3);  // Batched payloads.
     EXPECT_GE(ref.workers, 9000);
     FleetRun run = RunFleet(query, fault);
     EXPECT_EQ(run.bytes, ref.bytes) << "query " << query;

@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -14,6 +13,7 @@
 #include "common/rng.h"
 #include "core/driver.h"
 #include "core/messages.h"
+#include "core/optimizer.h"
 #include "engine/chunk_serde.h"
 #include "models/costmodel.h"
 #include "workload/tpch.h"
@@ -181,84 +181,102 @@ InvocationPayload SamplePayload() {
   p.self.worker_id = 10;
   p.self.attempt = 3;
   p.self.files = {{"data", "a.lpq"}, {"data", "b.lpq"}};
+  p.self.build_files = {{"data", "o.lpq"}};
+  p.self.build_counts = {1};
   return p;
 }
 
-TEST(InvocationTreeSerdeTest, TreePayloadRoundTrips) {
+/// Worker 10's payload in a depth-1 tree: the range is itself.
+InvocationPayload DepthOnePayload() {
   InvocationPayload p = SamplePayload();
-  p.self.files.clear();  // Batched payloads carry no explicit inputs.
-  p.tree.subtree_end = 20;
-  p.tree.generation = 1;
-  p.tree.fanout = {10, 3, 3};
-  p.tree.inputs_key = "plans/q7.inputs";
-  auto parsed = InvocationPayload::Parse(p.Serialize());
-  ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
-  EXPECT_EQ(parsed->tree.subtree_end, 20u);
-  EXPECT_EQ(parsed->tree.generation, 1u);
-  EXPECT_EQ(parsed->tree.fanout, (std::vector<uint32_t>{10, 3, 3}));
-  EXPECT_EQ(parsed->tree.inputs_key, "plans/q7.inputs");
-  EXPECT_EQ(parsed->self.worker_id, 10u);
-  EXPECT_EQ(parsed->self.attempt, 3u);
-  EXPECT_TRUE(parsed->tree.active());
+  p.tree.subtree_end = 11;
+  p.tree.fanout = {100};
+  return p;
 }
 
-TEST(InvocationTreeSerdeTest, LegacyPayloadBytesAreUnchanged) {
-  // A two-level payload (explicit to_invoke, no tree section) must
-  // serialize to exactly the pre-tree wire bytes: the reference encoder
-  // below replicates the frozen field sequence of the original format.
+/// A depth-2 root claiming [10, 14): its three descendants' inputs ride
+/// inline, in id order.
+InvocationPayload InlinePayload() {
   InvocationPayload p = SamplePayload();
-  WorkerInput child;
-  child.worker_id = 11;
-  child.files = {{"data", "c.lpq"}};
-  p.to_invoke.push_back(child);
-
-  BinaryWriter w;
-  w.PutString(p.query_id);
-  w.PutU32(p.total_workers);
-  w.PutString(p.plan_bucket);
-  w.PutString(p.plan_key);
-  w.PutString(p.result_queue);
-  p.self.Serialize(&w);
-  w.PutVarint(p.to_invoke.size());
-  for (const auto& t : p.to_invoke) t.Serialize(&w);
-  w.PutF64(p.data_scale);
-  w.PutU8(1);  // hedge_gets.
-  auto expected = w.Take();
-
-  const std::string got = p.Serialize();
-  ASSERT_EQ(got.size(), expected.size());
-  EXPECT_EQ(0, std::memcmp(got.data(), expected.data(), expected.size()));
-  auto parsed = InvocationPayload::Parse(got);
-  ASSERT_TRUE(parsed.ok());
-  EXPECT_FALSE(parsed->tree.active());
+  p.tree.subtree_end = 14;
+  p.tree.fanout = {10, 9};
+  for (uint32_t id = 11; id < 14; ++id) {
+    WorkerInput in;
+    in.worker_id = id;
+    in.files = {{"data", "f" + std::to_string(id) + ".lpq"}};
+    in.build_counts = {0};
+    p.tree.descendants.push_back(in);
+  }
+  return p;
 }
 
-TEST(InvocationTreeSerdeTest, TruncatedTreeSectionsAreTypedErrors) {
+/// A depth-3 root claiming [10, 20) with batched inputs: the payload
+/// carries no inputs, only the table's key.
+InvocationPayload BatchedPayload() {
   InvocationPayload p = SamplePayload();
   p.self.files.clear();
+  p.self.build_files.clear();
+  p.self.build_counts.clear();
   p.tree.subtree_end = 20;
-  p.tree.generation = 1;
-  p.tree.fanout = {10, 9};
+  p.tree.fanout = {10, 3, 3};
   p.tree.inputs_key = "plans/q7.inputs";
-  const std::string full = p.Serialize();
-  InvocationPayload legacy = p;
-  legacy.tree = TreeAssignment{};
-  const size_t legacy_size = legacy.Serialize().size();
-  ASSERT_GT(full.size(), legacy_size);
-  // Every strict truncation inside the tree section must be a typed
-  // error — never a crash, never a silently shorter tree.
-  for (size_t len = legacy_size + 1; len < full.size(); ++len) {
-    auto parsed = InvocationPayload::Parse(full.substr(0, len));
-    EXPECT_FALSE(parsed.ok()) << "length " << len;
+  return p;
+}
+
+void ExpectSameInput(const WorkerInput& a, const WorkerInput& b) {
+  EXPECT_EQ(a.worker_id, b.worker_id);
+  EXPECT_EQ(a.attempt, b.attempt);
+  EXPECT_EQ(a.build_counts, b.build_counts);
+  ASSERT_EQ(a.files.size(), b.files.size());
+  for (size_t i = 0; i < a.files.size(); ++i) {
+    EXPECT_EQ(a.files[i].key, b.files[i].key);
   }
-  // Truncating the whole section yields the valid legacy payload.
-  auto stripped = InvocationPayload::Parse(full.substr(0, legacy_size));
-  ASSERT_TRUE(stripped.ok()) << stripped.status().ToString();
-  EXPECT_FALSE(stripped->tree.active());
+  ASSERT_EQ(a.build_files.size(), b.build_files.size());
+  for (size_t i = 0; i < a.build_files.size(); ++i) {
+    EXPECT_EQ(a.build_files[i].key, b.build_files[i].key);
+  }
+}
+
+TEST(InvocationTreeSerdeTest, EveryDepthRoundTripsThroughTheOneLayout) {
+  for (const InvocationPayload& p :
+       {DepthOnePayload(), InlinePayload(), BatchedPayload()}) {
+    const std::string bytes = p.Serialize();
+    auto parsed = InvocationPayload::Parse(bytes);
+    ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
+    EXPECT_EQ(parsed->query_id, "q7");
+    EXPECT_EQ(parsed->total_workers, 100u);
+    EXPECT_DOUBLE_EQ(parsed->data_scale, 2.5);
+    EXPECT_TRUE(parsed->hedge_gets);
+    ExpectSameInput(parsed->self, p.self);
+    EXPECT_EQ(parsed->tree.subtree_end, p.tree.subtree_end);
+    EXPECT_EQ(parsed->tree.generation, 1u);
+    EXPECT_EQ(parsed->tree.fanout, p.tree.fanout);
+    EXPECT_EQ(parsed->tree.inputs_key, p.tree.inputs_key);
+    ASSERT_EQ(parsed->tree.descendants.size(), p.tree.descendants.size());
+    for (size_t i = 0; i < p.tree.descendants.size(); ++i) {
+      ExpectSameInput(parsed->tree.descendants[i], p.tree.descendants[i]);
+    }
+    // One format: re-serializing the parse reproduces the bytes.
+    EXPECT_EQ(parsed->Serialize(), bytes);
+  }
+}
+
+TEST(InvocationTreeSerdeTest, TruncatedPayloadsAreTypedErrors) {
+  // Every strict truncation of every layout must be a typed error — never
+  // a crash, never a silently shorter tree or input list.
+  for (const InvocationPayload& p :
+       {DepthOnePayload(), InlinePayload(), BatchedPayload()}) {
+    const std::string full = p.Serialize();
+    for (size_t len = 0; len < full.size(); ++len) {
+      auto parsed = InvocationPayload::Parse(full.substr(0, len));
+      EXPECT_FALSE(parsed.ok()) << "length " << len << " of " << full.size();
+    }
+  }
 }
 
 TEST(InvocationTreeSerdeTest, OverlappingAndForgedRangesAreRejected) {
-  auto expect_invalid = [](InvocationPayload p, const std::string& what) {
+  auto expect_invalid = [](const InvocationPayload& p,
+                           const std::string& what) {
     auto parsed = InvocationPayload::Parse(p.Serialize());
     EXPECT_FALSE(parsed.ok()) << what;
     if (!parsed.ok()) {
@@ -266,11 +284,10 @@ TEST(InvocationTreeSerdeTest, OverlappingAndForgedRangesAreRejected) {
           << what << ": " << parsed.status().ToString();
     }
   };
-  InvocationPayload base = SamplePayload();
-  base.self.files.clear();
+  InvocationPayload base = BatchedPayload();
   base.tree.generation = 2;
-  base.tree.fanout = {10, 3, 3};
   base.tree.subtree_end = 14;  // Capacity of a gen-2 subtree: 1+3*1 = 4.
+  ASSERT_TRUE(InvocationPayload::Parse(base.Serialize()).ok());
 
   InvocationPayload overlap = base;
   overlap.tree.subtree_end = 20;  // 10 ids > capacity 4.
@@ -288,41 +305,105 @@ TEST(InvocationTreeSerdeTest, OverlappingAndForgedRangesAreRejected) {
   deep.tree.generation = 9;  // fanout declares depth 3.
   expect_invalid(deep, "generation beyond depth");
 
-  InvocationPayload both = base;
-  WorkerInput child;
-  child.worker_id = 11;
-  both.to_invoke.push_back(child);
-  expect_invalid(both, "tree range plus explicit invoke list");
+  InvocationPayload unborn = base;
+  unborn.tree.generation = 0;  // The driver is generation 0, not a worker.
+  expect_invalid(unborn, "generation 0");
 }
 
-TEST(InvocationTreeSerdeTest, SeededFuzzNeverCrashesTheParser) {
-  // Byte-level chaos: random truncations and bit flips over valid tree
-  // payloads must always produce either a valid payload or a typed error.
-  InvocationPayload p = SamplePayload();
-  p.self.files.clear();
-  p.tree.subtree_end = 20;
-  p.tree.generation = 1;
-  p.tree.fanout = {10, 9};
-  p.tree.inputs_key = "plans/q7.inputs";
-  const std::string full = p.Serialize();
-  Rng rng(20260808);
-  int rejected = 0;
-  for (int i = 0; i < 2000; ++i) {
-    std::string mutated = full;
-    const int mutations = 1 + static_cast<int>(rng.UniformInt(0, 3));
-    for (int m = 0; m < mutations; ++m) {
-      const size_t pos = static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int>(mutated.size()) - 1));
-      mutated[pos] = static_cast<char>(rng.UniformInt(0, 255));
+TEST(InvocationTreeSerdeTest, DescendantInputsMustMatchTheRange) {
+  auto expect_invalid = [](const InvocationPayload& p,
+                           const std::string& what) {
+    auto parsed = InvocationPayload::Parse(p.Serialize());
+    EXPECT_FALSE(parsed.ok()) << what;
+    if (!parsed.ok()) {
+      EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument)
+          << what << ": " << parsed.status().ToString();
     }
-    if (rng.NextDouble() < 0.3) {
-      mutated.resize(static_cast<size_t>(
-          rng.UniformInt(0, static_cast<int>(mutated.size()))));
-    }
-    auto parsed = InvocationPayload::Parse(mutated);
-    if (!parsed.ok()) ++rejected;
+  };
+  InvocationPayload missing = InlinePayload();
+  missing.tree.descendants.pop_back();  // 2 inputs for a range of 4 ids.
+  expect_invalid(missing, "descendant count below range - 1");
+
+  InvocationPayload extra = InlinePayload();
+  extra.tree.subtree_end = 13;  // 3 inputs for a range of 3 ids.
+  expect_invalid(extra, "descendant count above range - 1");
+
+  InvocationPayload both = BatchedPayload();
+  both.tree.subtree_end = 12;
+  WorkerInput child;
+  child.worker_id = 11;
+  both.tree.descendants.push_back(child);  // Inline inputs and a table.
+  expect_invalid(both, "descendants beside an input table");
+
+  InvocationPayload swapped = InlinePayload();
+  std::swap(swapped.tree.descendants[0], swapped.tree.descendants[1]);
+  expect_invalid(swapped, "out-of-order descendant ids");
+
+  InvocationPayload shifted = InlinePayload();
+  for (WorkerInput& in : shifted.tree.descendants) ++in.worker_id;
+  expect_invalid(shifted, "descendants of another range");
+
+  InvocationPayload short_counts = SamplePayload();
+  short_counts.tree = DepthOnePayload().tree;
+  short_counts.self.build_counts = {0};  // One build file, counted zero.
+  expect_invalid(short_counts, "build_counts below build_files");
+
+  InvocationPayload long_counts = InlinePayload();
+  long_counts.tree.descendants[2].build_counts = {0, 2};  // No build files.
+  expect_invalid(long_counts, "descendant build_counts above build_files");
+}
+
+TEST(InvocationTreeSerdeTest, SeededFuzzNeverCrashesTheParsers) {
+  // Byte-level chaos: random truncations and bit flips over valid
+  // payloads of every layout, and over a two-join plan fragment, must
+  // always produce either a valid parse or a typed error.
+  PhysicalQuery q3;
+  {
+    auto planned = OptimizeQuery(
+        workload::TpchQ3("s3://tpch/li/*.lpq", "s3://tpch/orders/*.lpq",
+                         "s3://tpch/customer/*.lpq"),
+        Catalog{}, OptimizerOptions{});
+    ASSERT_TRUE(planned.ok()) << planned.status().ToString();
+    q3 = *std::move(planned);
   }
-  EXPECT_GT(rejected, 0);
+  ASSERT_EQ(q3.fragment.JoinIndices().size(), 2u);
+  const std::vector<uint8_t> plan_bytes = q3.fragment.Serialize();
+  ASSERT_TRUE(
+      PlanFragment::Deserialize(plan_bytes.data(), plan_bytes.size()).ok());
+
+  const std::vector<std::string> inputs = {
+      DepthOnePayload().Serialize(), InlinePayload().Serialize(),
+      BatchedPayload().Serialize(),
+      std::string(plan_bytes.begin(), plan_bytes.end())};
+  const size_t plan_input = inputs.size() - 1;
+  Rng rng(20260808);
+  std::vector<int> rejected(inputs.size(), 0);
+  for (int i = 0; i < 2000; ++i) {
+    for (size_t k = 0; k < inputs.size(); ++k) {
+      std::string mutated = inputs[k];
+      const int mutations = 1 + static_cast<int>(rng.UniformInt(0, 3));
+      for (int m = 0; m < mutations; ++m) {
+        const size_t pos = static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int>(mutated.size()) - 1));
+        mutated[pos] = static_cast<char>(rng.UniformInt(0, 255));
+      }
+      if (rng.NextDouble() < 0.3) {
+        mutated.resize(static_cast<size_t>(
+            rng.UniformInt(0, static_cast<int>(mutated.size()))));
+      }
+      const bool ok =
+          k == plan_input
+              ? PlanFragment::Deserialize(
+                    reinterpret_cast<const uint8_t*>(mutated.data()),
+                    mutated.size())
+                    .ok()
+              : InvocationPayload::Parse(mutated).ok();
+      if (!ok) ++rejected[k];
+    }
+  }
+  for (size_t k = 0; k < inputs.size(); ++k) {
+    EXPECT_GT(rejected[k], 0) << "input " << k;
+  }
 }
 
 TEST(InvocationTreeSerdeTest, WorkerInputTableRoundTrips) {
@@ -370,8 +451,9 @@ TEST(InvocationTreeSerdeTest, WorkerInputTableRoundTrips) {
 
 TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwoAtAllThreads) {
   // A real Q6 fleet forced through the depth-3 batched tree must produce
-  // result bytes identical to the default two-level run — at 1, 2, and 8
-  // worker threads, and across repeated runs (the determinism contract).
+  // result bytes identical to the default two-level run (inline inputs)
+  // and to flat depth-1 invocation — at 1, 2, and 8 worker threads, and
+  // across repeated runs (the determinism contract).
   auto run = [](int depth, int threads) {
     cloud::Cloud cloud;
     DriverOptions dopts;
@@ -395,7 +477,6 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwoAtAllThreads) {
     auto report = driver.RunToCompletion(q, ropts);
     LAMBADA_CHECK(report.ok()) << report.status().ToString();
     LAMBADA_CHECK(report->tree_depth == depth);
-    LAMBADA_CHECK(report->batched_invocation == (depth >= 3));
     return engine::SerializeChunk(report->result);
   };
   const std::vector<uint8_t> ref = run(2, 1);
@@ -403,6 +484,7 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwoAtAllThreads) {
   EXPECT_EQ(run(2, 1), ref);  // Repeated run, identical bytes.
   for (int threads : {1, 2, 8}) {
     EXPECT_EQ(run(3, threads), ref) << threads << " threads, depth 3";
+    EXPECT_EQ(run(1, threads), ref) << threads << " threads, depth 1";
   }
 }
 
