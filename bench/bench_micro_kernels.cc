@@ -34,8 +34,10 @@ std::vector<uint8_t> ColumnarBytes(size_t values) {
   return bytes;
 }
 
+// Argument: input bytes. 32 B and 2 KB are the column chunks of tiny row
+// groups (many-file fleets), where a per-call fixed cost would dominate.
 void BM_Compress(benchmark::State& state, compress::CodecId id) {
-  auto input = ColumnarBytes(1 << 16);
+  auto input = ColumnarBytes(static_cast<size_t>(state.range(0)) / 8);
   const auto& codec = compress::GetCodec(id);
   for (auto _ : state) {
     benchmark::DoNotOptimize(codec.Compress(input));
@@ -43,9 +45,12 @@ void BM_Compress(benchmark::State& state, compress::CodecId id) {
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           input.size());
 }
-BENCHMARK_CAPTURE(BM_Compress, rle, compress::CodecId::kRle);
-BENCHMARK_CAPTURE(BM_Compress, lz, compress::CodecId::kLz);
-BENCHMARK_CAPTURE(BM_Compress, heavy, compress::CodecId::kHeavy);
+BENCHMARK_CAPTURE(BM_Compress, rle, compress::CodecId::kRle)
+    ->Arg(32)->Arg(2048)->Arg(8 << 16);
+BENCHMARK_CAPTURE(BM_Compress, lz, compress::CodecId::kLz)
+    ->Arg(32)->Arg(2048)->Arg(8 << 16);
+BENCHMARK_CAPTURE(BM_Compress, heavy, compress::CodecId::kHeavy)
+    ->Arg(32)->Arg(2048)->Arg(8 << 16);
 
 void BM_Decompress(benchmark::State& state, compress::CodecId id) {
   auto input = ColumnarBytes(1 << 16);
@@ -75,6 +80,27 @@ void BM_DeltaEncode(benchmark::State& state) {
                           sorted.size() * 8);
 }
 BENCHMARK(BM_DeltaEncode);
+
+// Argument: distinct values in a 64k-row column — a flag-like column (16)
+// and a unique key like l_orderkey (65536). The auto-selector tries the
+// dictionary on every int64 chunk, so both ends matter.
+void BM_DictEncode(benchmark::State& state) {
+  Rng rng(3);
+  std::vector<int64_t> values;
+  for (int64_t i = 0; i < (1 << 16); ++i) {
+    values.push_back(state.range(0) >= (1 << 16)
+                         ? i * 4 + 1
+                         : rng.UniformInt(0, state.range(0) - 1));
+  }
+  engine::Column col = engine::Column::Int64(values);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        format::EncodeColumn(col, format::Encoding::kDict));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          values.size() * 8);
+}
+BENCHMARK(BM_DictEncode)->Arg(16)->Arg(1 << 16);
 
 engine::TableChunk BenchChunk(size_t rows) {
   Rng rng(7);

@@ -163,6 +163,21 @@ uint32_t Hash4(const uint8_t* p) {
   return (v * 2654435761u) >> 16;  // 16-bit hash bucket space.
 }
 
+/// Hash-chain match tables, allocated once per thread and reused by every
+/// compress call on it. A call stamps each entry with `base` plus the
+/// position, and advances `base` past its input, so an entry below the
+/// current base was left by an earlier call and reads as empty: nothing is
+/// ever cleared. `prev` is a ring indexed by position mod 64 Ki: the chain
+/// walk stops at offsets above 65535 before it reads `prev`, so it only
+/// reads slots the current call wrote at that very position.
+struct LzMatchTables {
+  static constexpr size_t kHashSize = size_t{1} << 16;
+  static constexpr size_t kRingSize = size_t{1} << 16;
+  std::vector<uint64_t> head = std::vector<uint64_t>(kHashSize, 0);
+  std::vector<uint64_t> prev = std::vector<uint64_t>(kRingSize, 0);
+  uint64_t base = 1;
+};
+
 std::vector<uint8_t> LzCompress(const uint8_t* input, size_t n,
                                 const LzParams& params) {
   std::vector<uint8_t> out;
@@ -177,9 +192,13 @@ std::vector<uint8_t> LzCompress(const uint8_t* input, size_t n,
     return out;
   }
 
-  constexpr size_t kHashSize = 1 << 16;
-  std::vector<int64_t> head(kHashSize, -1);
-  std::vector<int64_t> prev(n, -1);
+  // Per thread: the writer compresses column chunks concurrently.
+  thread_local LzMatchTables tables;
+  uint64_t* head = tables.head.data();
+  uint64_t* prev = tables.prev.data();
+  constexpr size_t kRingMask = LzMatchTables::kRingSize - 1;
+  const uint64_t base = tables.base;
+  tables.base += n;
   const size_t window = size_t{1} << params.window_bits;
 
   size_t i = 0;
@@ -204,15 +223,16 @@ std::vector<uint8_t> LzCompress(const uint8_t* input, size_t n,
   while (i <= match_limit) {
     // Probe the hash chain for the best match.
     uint32_t h = Hash4(input + i);
-    int64_t cand = head[h];
+    uint64_t cand = head[h];
     size_t best_len = 0;
     size_t best_off = 0;
     int depth = params.chain_depth;
-    while (cand >= 0 && depth-- > 0) {
-      size_t off = i - static_cast<size_t>(cand);
+    while (cand >= base && depth-- > 0) {
+      const size_t pos = static_cast<size_t>(cand - base);
+      size_t off = i - pos;
       if (off > window || off > 65535) break;
       const uint8_t* a = input + i;
-      const uint8_t* b = input + cand;
+      const uint8_t* b = input + pos;
       size_t max_len = n - i - 5;  // Keep the terminal literals intact.
       size_t len = 0;
       while (len < max_len && a[len] == b[len]) ++len;
@@ -220,7 +240,7 @@ std::vector<uint8_t> LzCompress(const uint8_t* input, size_t n,
         best_len = len;
         best_off = off;
       }
-      cand = prev[cand];
+      cand = prev[pos & kRingMask];
     }
     if (best_len >= params.min_match) {
       emit_sequence(literal_start, i - literal_start, best_off, best_len);
@@ -229,14 +249,14 @@ std::vector<uint8_t> LzCompress(const uint8_t* input, size_t n,
       size_t step = best_len > 64 ? 8 : 1;
       for (size_t j = i; j < end && j <= match_limit; j += step) {
         uint32_t hj = Hash4(input + j);
-        prev[j] = head[hj];
-        head[hj] = static_cast<int64_t>(j);
+        prev[j & kRingMask] = head[hj];
+        head[hj] = base + j;
       }
       i = end;
       literal_start = i;
     } else {
-      prev[i] = head[h];
-      head[h] = static_cast<int64_t>(i);
+      prev[i & kRingMask] = head[h];
+      head[h] = base + i;
       ++i;
     }
   }

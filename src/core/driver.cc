@@ -393,13 +393,24 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                                           probe_listing.dataset,
                                           std::move(keys),
                                           physical->fragment.scan_filter);
-    if (kept.ok()) {
+    // Either fallback scans every file; EXPLAIN says so.
+    const std::string scan_all =
+        ", scanning all " + std::to_string(files.size()) + " files\n";
+    if (!kept.ok()) {
+      physical->explain_text += "  stats index: prune failed (" +
+                                kept.status().ToString() + ")" + scan_all;
+    } else {
       std::set<std::string> keep_set(kept->begin(), kept->end());
       std::vector<engine::FileRef> kept_files;
       for (auto& f : files) {
         if (keep_set.count(f.key)) kept_files.push_back(std::move(f));
       }
-      if (!kept_files.empty()) files = std::move(kept_files);
+      if (kept_files.empty()) {
+        physical->explain_text +=
+            "  stats index: every file pruned" + scan_all;
+      } else {
+        files = std::move(kept_files);
+      }
     }
   }
 

@@ -1,5 +1,6 @@
 #include "engine/table.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace lambada::engine {
@@ -51,23 +52,49 @@ std::string Schema::ToString() const {
   return os.str();
 }
 
-Column Column::Filter(const std::vector<bool>& keep) const {
-  LAMBADA_CHECK_EQ(keep.size(), size());
-  Column out(type_);
-  if (type_ == DataType::kInt64) {
-    const auto& src = i64();
-    auto& dst = out.mutable_i64();
-    for (size_t i = 0; i < src.size(); ++i) {
-      if (keep[i]) dst.push_back(src[i]);
-    }
-  } else {
-    const auto& src = f64();
-    auto& dst = out.mutable_f64();
-    for (size_t i = 0; i < src.size(); ++i) {
-      if (keep[i]) dst.push_back(src[i]);
-    }
+namespace {
+
+size_t CountKept(const std::vector<bool>& keep) {
+  return static_cast<size_t>(std::count(keep.begin(), keep.end(), true));
+}
+
+template <typename T>
+std::vector<T> KeepRows(const std::vector<T>& src,
+                        const std::vector<bool>& keep, size_t kept) {
+  std::vector<T> dst;
+  dst.reserve(kept);
+  for (size_t i = 0; i < src.size(); ++i) {
+    if (keep[i]) dst.push_back(src[i]);
   }
-  return out;
+  return dst;
+}
+
+/// `kept` is the number of true entries in `keep`: the output is reserved
+/// to exactly that size.
+Column FilterColumn(const Column& c, const std::vector<bool>& keep,
+                    size_t kept) {
+  LAMBADA_CHECK_EQ(keep.size(), c.size());
+  if (c.type() == DataType::kInt64) {
+    return Column::Int64(KeepRows(c.i64(), keep, kept));
+  }
+  return Column::Float64(KeepRows(c.f64(), keep, kept));
+}
+
+}  // namespace
+
+Column Column::Filter(const std::vector<bool>& keep) const {
+  return FilterColumn(*this, keep, CountKept(keep));
+}
+
+Column Column::Slice(size_t begin, size_t end) const {
+  LAMBADA_CHECK_LE(begin, end);
+  LAMBADA_CHECK_LE(end, size());
+  if (type_ == DataType::kInt64) {
+    const int64_t* src = i64().data();
+    return Int64(std::vector<int64_t>(src + begin, src + end));
+  }
+  const double* src = f64().data();
+  return Float64(std::vector<double>(src + begin, src + end));
 }
 
 TableChunk::TableChunk(SchemaPtr schema, std::vector<Column> columns)
@@ -103,10 +130,20 @@ Result<TableChunk> TableChunk::Project(const std::vector<int>& indices) const {
 }
 
 TableChunk TableChunk::Filter(const std::vector<bool>& keep) const {
+  const size_t kept = CountKept(keep);
   std::vector<Column> cols;
   cols.reserve(columns_.size());
   for (const auto& c : columns_) {
-    cols.push_back(c.Filter(keep));
+    cols.push_back(FilterColumn(c, keep, kept));
+  }
+  return TableChunk(schema_, std::move(cols));
+}
+
+TableChunk TableChunk::Slice(size_t begin, size_t end) const {
+  std::vector<Column> cols;
+  cols.reserve(columns_.size());
+  for (const auto& c : columns_) {
+    cols.push_back(c.Slice(begin, end));
   }
   return TableChunk(schema_, std::move(cols));
 }

@@ -119,6 +119,9 @@ class Column {
   /// New column containing the rows where `keep` is true.
   Column Filter(const std::vector<bool>& keep) const;
 
+  /// New column containing rows [begin, end).
+  Column Slice(size_t begin, size_t end) const;
+
   /// Heap bytes held by this column.
   int64_t memory_bytes() const {
     return static_cast<int64_t>(size()) * 8;
@@ -152,6 +155,9 @@ class TableChunk {
 
   /// Chunk containing rows where `keep` is true.
   TableChunk Filter(const std::vector<bool>& keep) const;
+
+  /// Chunk containing rows [begin, end).
+  TableChunk Slice(size_t begin, size_t end) const;
 
   /// Appends all rows of `other` (schemas must match).
   Status Append(const TableChunk& other);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstring>
 #include <functional>
-#include <map>
 
 #include "common/binio.h"
 #include "exec/parallel_for.h"
@@ -24,8 +23,23 @@ int64_t ZigzagDecode(uint64_t v) {
   return static_cast<int64_t>(v >> 1) ^ -static_cast<int64_t>(v & 1);
 }
 
+// Differences between neighbouring values wrap in uint64 (INT64_MAX -
+// INT64_MIN would be signed overflow); zigzag round-trips the wrapped
+// value exactly, and the decoder's wrapping sum restores the original.
+int64_t WrappingSub(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) -
+                              static_cast<uint64_t>(b));
+}
+
+int64_t WrappingAdd(int64_t a, int64_t b) {
+  return static_cast<int64_t>(static_cast<uint64_t>(a) +
+                              static_cast<uint64_t>(b));
+}
+
 std::vector<uint8_t> EncodePlain(const Column& c) {
   std::vector<uint8_t> out(c.size() * 8);
+  // An empty column's data() may be null, which memcpy must not get.
+  if (out.empty()) return out;
   if (c.type() == DataType::kInt64) {
     std::memcpy(out.data(), c.i64().data(), out.size());
   } else {
@@ -41,11 +55,11 @@ Result<Column> DecodePlain(const uint8_t* data, size_t size, DataType type,
   }
   if (type == DataType::kInt64) {
     std::vector<int64_t> v(num_rows);
-    std::memcpy(v.data(), data, size);
+    if (size > 0) std::memcpy(v.data(), data, size);
     return Column::Int64(std::move(v));
   }
   std::vector<double> v(num_rows);
-  std::memcpy(v.data(), data, size);
+  if (size > 0) std::memcpy(v.data(), data, size);
   return Column::Float64(std::move(v));
 }
 
@@ -54,7 +68,7 @@ std::vector<uint8_t> EncodeDelta(const Column& c) {
   const auto& v = c.i64();
   int64_t prev = 0;
   for (int64_t x : v) {
-    w.PutVarint(ZigzagEncode(x - prev));
+    w.PutVarint(ZigzagEncode(WrappingSub(x, prev)));
     prev = x;
   }
   return w.Take();
@@ -68,7 +82,7 @@ Result<Column> DecodeDelta(const uint8_t* data, size_t size,
   int64_t prev = 0;
   for (size_t i = 0; i < num_rows; ++i) {
     ASSIGN_OR_RETURN(uint64_t z, r.GetVarint());
-    prev += ZigzagDecode(z);
+    prev = WrappingAdd(prev, ZigzagDecode(z));
     v.push_back(prev);
   }
   if (r.remaining() != 0) {
@@ -79,19 +93,22 @@ Result<Column> DecodeDelta(const uint8_t* data, size_t size,
 
 std::vector<uint8_t> EncodeDict(const Column& c) {
   const auto& v = c.i64();
-  std::map<int64_t, uint32_t> dict;
-  for (int64_t x : v) dict.emplace(x, 0);
-  uint32_t next = 0;
-  for (auto& [value, index] : dict) index = next++;
+  // The dictionary is the sorted distinct values; a row's code is its
+  // value's rank in it.
+  std::vector<int64_t> dict(v.begin(), v.end());
+  std::sort(dict.begin(), dict.end());
+  dict.erase(std::unique(dict.begin(), dict.end()), dict.end());
   BinaryWriter w;
   w.PutVarint(dict.size());
   int64_t prev = 0;
-  for (const auto& [value, index] : dict) {
-    w.PutVarint(ZigzagEncode(value - prev));  // Sorted: deltas are small.
+  for (int64_t value : dict) {
+    // Sorted: deltas are small.
+    w.PutVarint(ZigzagEncode(WrappingSub(value, prev)));
     prev = value;
   }
   for (int64_t x : v) {
-    w.PutVarint(dict[x]);
+    w.PutVarint(static_cast<uint64_t>(
+        std::lower_bound(dict.begin(), dict.end(), x) - dict.begin()));
   }
   return w.Take();
 }
@@ -106,10 +123,7 @@ std::vector<uint8_t> EncodeRle(const Column& c) {
       size_t j = i;
       while (j < v.size() && v[j] == v[i]) ++j;
       w.PutVarint(j - i);
-      // Wrapping difference in uint64 (INT64_MIN - INT64_MAX would be
-      // signed overflow); zigzag round-trips the wrapped value exactly.
-      w.PutVarint(ZigzagEncode(static_cast<int64_t>(
-          static_cast<uint64_t>(v[i]) - static_cast<uint64_t>(prev_run))));
+      w.PutVarint(ZigzagEncode(WrappingSub(v[i], prev_run)));
       prev_run = v[i];
       i = j;
     }
@@ -147,8 +161,7 @@ Result<Column> DecodeRle(const uint8_t* data, size_t size, DataType type,
         return Status::IOError("rle: bad run length");
       }
       ASSIGN_OR_RETURN(uint64_t z, r.GetVarint());
-      prev_run = static_cast<int64_t>(static_cast<uint64_t>(prev_run) +
-                                      static_cast<uint64_t>(ZigzagDecode(z)));
+      prev_run = WrappingAdd(prev_run, ZigzagDecode(z));
       v.insert(v.end(), static_cast<size_t>(run), prev_run);
     }
     if (r.remaining() != 0) return Status::IOError("rle: trailing bytes");
@@ -180,7 +193,7 @@ Result<DictView> DecodeDictView(const uint8_t* data, size_t size,
   int64_t prev = 0;
   for (uint64_t i = 0; i < dict_size; ++i) {
     ASSIGN_OR_RETURN(uint64_t z, r.GetVarint());
-    prev += ZigzagDecode(z);
+    prev = WrappingAdd(prev, ZigzagDecode(z));
     view.values.push_back(prev);
   }
   view.codes.reserve(num_rows);

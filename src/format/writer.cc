@@ -25,27 +25,20 @@ Status FileWriter::Append(const TableChunk& chunk) {
     return Status::Invalid("chunk schema does not match writer schema");
   }
   RETURN_NOT_OK(pending_.Append(chunk));
-  while (static_cast<int64_t>(pending_.num_rows()) >=
-         options_.row_group_rows) {
-    RETURN_NOT_OK(FlushRowGroup());
+  // Cut every full row group as a row-range slice, then keep only the
+  // remainder: each pending row is copied once more, whatever the number
+  // of groups.
+  const size_t group_rows = static_cast<size_t>(options_.row_group_rows);
+  size_t begin = 0;
+  while (pending_.num_rows() - begin >= group_rows) {
+    RETURN_NOT_OK(FlushRowGroup(pending_.Slice(begin, begin + group_rows)));
+    begin += group_rows;
   }
+  if (begin > 0) pending_ = pending_.Slice(begin, pending_.num_rows());
   return Status::OK();
 }
 
-Status FileWriter::FlushRowGroup() {
-  size_t take = std::min<size_t>(
-      pending_.num_rows(), static_cast<size_t>(options_.row_group_rows));
-  if (take == 0) return Status::OK();
-  // Split pending rows into [0, take) and the remainder.
-  std::vector<bool> head(pending_.num_rows(), false);
-  std::vector<bool> tail(pending_.num_rows(), false);
-  for (size_t i = 0; i < pending_.num_rows(); ++i) {
-    (i < take ? head : tail)[i] = true;
-  }
-  TableChunk group = pending_.Filter(head);
-  TableChunk rest = pending_.Filter(tail);
-  pending_ = std::move(rest);
-
+Status FileWriter::FlushRowGroup(const TableChunk& group) {
   RowGroupMeta rg;
   rg.num_rows = group.num_rows();
   const auto& codec = compress::GetCodec(options_.codec);
@@ -112,9 +105,8 @@ Status FileWriter::FlushRowGroup() {
 
 Result<std::vector<uint8_t>> FileWriter::Finish() {
   if (finished_) return Status::FailedPrecondition("writer finished");
-  while (pending_.num_rows() > 0) {
-    RETURN_NOT_OK(FlushRowGroup());
-  }
+  // Append left fewer than row_group_rows pending: one last group.
+  if (pending_.num_rows() > 0) RETURN_NOT_OK(FlushRowGroup(pending_));
   finished_ = true;
   std::vector<uint8_t> footer = metadata_.Serialize();
   file_.insert(file_.end(), footer.begin(), footer.end());

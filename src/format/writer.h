@@ -50,7 +50,8 @@ class FileWriter {
       const engine::TableChunk& table, const WriterOptions& options = {});
 
  private:
-  Status FlushRowGroup();
+  /// Encodes, compresses and appends `group` as the next row group.
+  Status FlushRowGroup(const engine::TableChunk& group);
 
   engine::SchemaPtr schema_;
   WriterOptions options_;

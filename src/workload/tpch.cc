@@ -308,9 +308,7 @@ Result<DatasetInfo> LoadTableChunk(cloud::ObjectStore* s3,
                    static_cast<size_t>(options.num_files);
     size_t end = n * (static_cast<size_t>(f) + 1) /
                  static_cast<size_t>(options.num_files);
-    std::vector<bool> keep(n, false);
-    for (size_t i = begin; i < end; ++i) keep[i] = true;
-    TableChunk part = all.Filter(keep);
+    TableChunk part = all.Slice(begin, end);
     format::WriterOptions wo;
     wo.codec = options.codec;
     wo.auto_encoding = options.auto_encoding;

@@ -4,7 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -318,6 +320,62 @@ TEST(EncodingTest, DictViewMatchesMaterialization) {
   EXPECT_EQ(MaterializeDictView(*view).i64(), v);
 }
 
+/// The dictionary encoding as the spec defines it, built on a std::map:
+/// varint(size), zigzag deltas of the sorted distinct values, then one
+/// varint code (the value's rank) per row. Deltas wrap in uint64.
+std::vector<uint8_t> ReferenceDictEncode(const std::vector<int64_t>& v) {
+  std::vector<uint8_t> out;
+  auto varint = [&out](uint64_t x) {
+    while (x >= 0x80) {
+      out.push_back(static_cast<uint8_t>(x) | 0x80);
+      x >>= 7;
+    }
+    out.push_back(static_cast<uint8_t>(x));
+  };
+  std::map<int64_t, uint32_t> dict;
+  for (int64_t x : v) dict.emplace(x, 0);
+  uint32_t next = 0;
+  for (auto& [value, code] : dict) code = next++;
+  varint(dict.size());
+  uint64_t prev = 0;
+  for (const auto& [value, code] : dict) {
+    const uint64_t delta = static_cast<uint64_t>(value) - prev;
+    varint((delta << 1) ^ (static_cast<int64_t>(delta) < 0 ? ~uint64_t{0}
+                                                           : uint64_t{0}));
+    prev = static_cast<uint64_t>(value);
+  }
+  for (int64_t x : v) varint(dict.at(x));
+  return out;
+}
+
+TEST(EncodingTest, DictMatchesMapReference) {
+  std::vector<std::vector<int64_t>> columns = {
+      {},
+      {42},
+      {INT64_MIN},
+      {INT64_MAX, INT64_MIN, 0, INT64_MAX, -1, INT64_MIN},
+      std::vector<int64_t>(1000, -7),  // All duplicates.
+  };
+  Rng rng(21);
+  for (int64_t range : {3, 300, 1000000000}) {
+    std::vector<int64_t> v;
+    for (int i = 0; i < 4000; ++i) v.push_back(rng.UniformInt(-range, range));
+    columns.push_back(std::move(v));
+  }
+  std::vector<int64_t> unique_keys;  // l_orderkey-like: every value once.
+  for (int64_t i = 0; i < 3000; ++i) unique_keys.push_back(i * 4 + 1);
+  columns.push_back(std::move(unique_keys));
+  for (const auto& v : columns) {
+    auto bytes = EncodeColumn(Column::Int64(v), Encoding::kDict);
+    ASSERT_TRUE(bytes.ok());
+    EXPECT_EQ(*bytes, ReferenceDictEncode(v)) << "rows " << v.size();
+    auto back = DecodeColumn(bytes->data(), bytes->size(), DataType::kInt64,
+                             Encoding::kDict, v.size());
+    ASSERT_TRUE(back.ok()) << back.status().ToString();
+    EXPECT_EQ(back->i64(), v);
+  }
+}
+
 TEST(EncodingTest, CorruptDataFailsCleanly) {
   std::vector<uint8_t> garbage = {0xFF, 0xFF, 0xFF, 0xFF, 0x01};
   EXPECT_FALSE(DecodeColumn(garbage.data(), garbage.size(),
@@ -468,6 +526,27 @@ TEST(WriterTest, MultipleAppendsAccumulate) {
   auto file = writer.Finish();
   ASSERT_TRUE(file.ok());
   EXPECT_EQ(ReadAll(*file).num_rows(), 500u);
+}
+
+TEST(WriterTest, AppendsAcrossGroupBoundariesMatchOneShotWrite) {
+  // Appends of 130 rows against 300-row groups: groups are cut from the
+  // middle of appended chunks and the remainder carries over. The bytes
+  // must equal one write of the concatenated table.
+  WriterOptions opts;
+  opts.row_group_rows = 300;
+  FileWriter writer(TwoColumnSchema(), opts);
+  std::vector<TableChunk> parts;
+  for (int i = 0; i < 7; ++i) {
+    parts.push_back(MakeTable(130, i));
+    ASSERT_TRUE(writer.Append(parts.back()).ok());
+  }
+  auto appended = writer.Finish();
+  ASSERT_TRUE(appended.ok());
+  auto all = engine::ConcatChunks(parts);
+  ASSERT_TRUE(all.ok());
+  auto one_shot = FileWriter::WriteTable(*all, opts);
+  ASSERT_TRUE(one_shot.ok());
+  EXPECT_EQ(*appended, *one_shot);
 }
 
 TEST(WriterTest, EmptyTableProducesValidFile) {

@@ -109,6 +109,57 @@ TEST_F(StatsIndexFixture, DriverSkipsWorkersWithIndex) {
             base->cost.lambda_invocations / 2);
 }
 
+TEST_F(StatsIndexFixture, FailedPruneScansEverythingAndSaysSo) {
+  auto q6 = workload::TpchQ6("s3://tpch/li/*.lpq");
+  auto base = driver_->RunToCompletion(q6, RunOptions{});
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  // Cut the l_shipdate item mid-record, as a torn write would leave it.
+  const std::string key = "tpch/li/#l_shipdate";
+  auto item = cloud_->ddb().GetDirect(index_->table(), key);
+  ASSERT_TRUE(item.ok());
+  ASSERT_TRUE(cloud_->ddb()
+                  .PutDirect(index_->table(), key,
+                             item->substr(0, item->size() / 2 + 3))
+                  .ok());
+  RunOptions with;
+  with.use_stats_index = true;
+  auto indexed = driver_->RunToCompletion(q6, with);
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  ASSERT_EQ(indexed->result.num_rows(), 1u);
+  EXPECT_NEAR(indexed->result.column(0).f64()[0],
+              base->result.column(0).f64()[0], 1e-6);
+  EXPECT_EQ(indexed->workers, base->workers);
+  EXPECT_NE(indexed->explain_text.find("  stats index: prune failed ("),
+            std::string::npos)
+      << indexed->explain_text;
+  EXPECT_NE(indexed->explain_text.find("), scanning all 16 files\n"),
+            std::string::npos)
+      << indexed->explain_text;
+  // A healthy index prunes quietly.
+  EXPECT_EQ(base->explain_text.find("stats index:"), std::string::npos);
+}
+
+TEST_F(StatsIndexFixture, EveryFilePrunedScansEverythingAndSaysSo) {
+  // No row ships in 2010: the index drops every file, and the driver falls
+  // back to scanning all of them rather than running no worker at all.
+  auto q = Query::FromParquet("s3://tpch/li/*.lpq")
+               .Filter(engine::Col("l_shipdate") >=
+                       engine::Lit(workload::TpchDate(2010, 1, 1)))
+               .ReduceCount();
+  auto base = driver_->RunToCompletion(q, RunOptions{});
+  ASSERT_TRUE(base.ok()) << base.status().ToString();
+  RunOptions with;
+  with.use_stats_index = true;
+  auto indexed = driver_->RunToCompletion(q, with);
+  ASSERT_TRUE(indexed.ok()) << indexed.status().ToString();
+  EXPECT_EQ(indexed->workers, base->workers);
+  EXPECT_EQ(indexed->result.num_rows(), base->result.num_rows());
+  EXPECT_NE(indexed->explain_text.find(
+                "  stats index: every file pruned, scanning all 16 files\n"),
+            std::string::npos)
+      << indexed->explain_text;
+}
+
 TEST_F(StatsIndexFixture, IndexNeverDropsMatchingRows) {
   // Property: for a sweep of ship-date ranges, the indexed run returns the
   // same count as the unindexed run.

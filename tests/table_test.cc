@@ -39,6 +39,54 @@ TEST(ColumnTest, Filter) {
   EXPECT_EQ(out.i64(), (std::vector<int64_t>{1, 3}));
 }
 
+TEST(ColumnTest, FilterFloat64KeepsNoneOrAll) {
+  Column c = Column::Float64({0.5, 1.5, 2.5});
+  EXPECT_EQ(c.Filter({false, false, false}).size(), 0u);
+  EXPECT_EQ(c.Filter({true, true, true}).f64(), c.f64());
+}
+
+TEST(ColumnTest, SliceRangesBothTypes) {
+  Column ints = Column::Int64({10, 11, 12, 13, 14});
+  Column floats = Column::Float64({0.5, 1.5, 2.5, 3.5, 4.5});
+  struct Range {
+    size_t begin, end;
+  };
+  // Empty (at the front, inside, at the end), full, prefix, suffix, middle.
+  for (Range r : {Range{0, 0}, Range{2, 2}, Range{5, 5}, Range{0, 5},
+                  Range{0, 2}, Range{3, 5}, Range{1, 4}}) {
+    Column si = ints.Slice(r.begin, r.end);
+    Column sf = floats.Slice(r.begin, r.end);
+    EXPECT_EQ(si.type(), DataType::kInt64);
+    EXPECT_EQ(sf.type(), DataType::kFloat64);
+    EXPECT_EQ(si.i64(), std::vector<int64_t>(ints.i64().begin() + r.begin,
+                                             ints.i64().begin() + r.end))
+        << r.begin << ".." << r.end;
+    EXPECT_EQ(sf.f64(), std::vector<double>(floats.f64().begin() + r.begin,
+                                            floats.f64().begin() + r.end))
+        << r.begin << ".." << r.end;
+  }
+}
+
+TEST(TableChunkTest, SliceMatchesRangeFilter) {
+  TableChunk t(S2(), {Column::Int64({1, 2, 3, 4}),
+                      Column::Float64({0.5, 1.5, 2.5, 3.5})});
+  for (size_t begin = 0; begin <= 4; ++begin) {
+    for (size_t end = begin; end <= 4; ++end) {
+      std::vector<bool> keep(4, false);
+      for (size_t i = begin; i < end; ++i) keep[i] = true;
+      TableChunk s = t.Slice(begin, end);
+      TableChunk f = t.Filter(keep);
+      EXPECT_EQ(s.schema(), t.schema());
+      EXPECT_EQ(s.num_rows(), end - begin);
+      EXPECT_EQ(s.column(0).i64(), f.column(0).i64());
+      EXPECT_EQ(s.column(1).f64(), f.column(1).f64());
+    }
+  }
+  TableChunk empty = TableChunk::Empty(S2()).Slice(0, 0);
+  EXPECT_EQ(empty.num_rows(), 0u);
+  EXPECT_EQ(empty.num_columns(), 2u);
+}
+
 TEST(TableChunkTest, ConstructionValidatesLengths) {
   TableChunk t(S2(), {Column::Int64({1, 2}), Column::Float64({0.5, 1.5})});
   EXPECT_EQ(t.num_rows(), 2u);
