@@ -15,7 +15,7 @@
 
 #include "bench_util.h"
 #include "cloud/cloud.h"
-#include "core/planner.h"
+#include "core/optimizer.h"
 #include "engine/scan.h"
 #include "format/source.h"
 #include "workload/tpch.h"

@@ -4,7 +4,7 @@
 #include <string>
 
 #include "core/driver.h"
-#include "core/planner.h"
+#include "core/optimizer.h"
 
 namespace lambada::core {
 

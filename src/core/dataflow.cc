@@ -4,7 +4,10 @@
 
 namespace lambada::core {
 
-Result<std::string> Query::Explain() const { return ExplainQuery(*this); }
+Result<std::string> Query::Explain() const {
+  ASSIGN_OR_RETURN(PhysicalQuery physical, OptimizeQuery(*this));
+  return physical.explain_text;
+}
 
 Query Query::FromParquet(std::string pattern) {
   return Query(std::move(pattern));

@@ -18,8 +18,9 @@ namespace lambada::core {
 ///                .Map(Col("x") * Col("y"), "v")
 ///                .ReduceSum("v");
 ///
-/// A query is a linear chain of logical operators rooted at a scan. The
-/// planner (planner.h) turns it into a scan with pushed-down selection and
+/// A query is a linear chain of logical operators rooted at a scan.
+/// OptimizeQuery (optimizer.h), the one planner for queries with and
+/// without joins, turns it into a scan with pushed-down selection and
 /// projection plus a worker pipeline and a driver-side merge step.
 class Query {
  public:

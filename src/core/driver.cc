@@ -220,56 +220,39 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   }
   obs::Tracer* tr = tracer.get();
 
-  // ---- Compile (joins list their relations first, to build a catalog).
+  // ---- Compile. Every relation's glob is listed first: the probe listing
+  // drives the fan-out, the build listings feed the optimizer's catalog
+  // and later the build-file distribution.
   const uint64_t plan_span = obs::Begin(tr, 0, "driver", "plan");
   cloud::NetContext dnet = cloud_->driver_net();
   dnet.attribution = options.attribution;
   cloud::S3Client client(&cloud_->s3(), dnet);
-  bool has_join = false;
+  Result<PatternListing> probe_listing_or =
+      co_await ListPattern(&client, query.pattern(), options_.meta_cache);
+  if (!probe_listing_or.ok()) co_return probe_listing_or.status();
+  PatternListing& probe_listing = *probe_listing_or;
+  std::vector<engine::FileRef>& files = probe_listing.files;
+  std::map<std::string, int64_t>& file_sizes = probe_listing.sizes;
+  std::map<std::string, PatternListing> build_listings;  // By pattern.
   for (const auto& op : query.ops()) {
-    if (op.kind == PlanOp::Kind::kJoin) has_join = true;
+    if (op.kind != PlanOp::Kind::kJoin) continue;
+    const std::string& bp = op.join->build_pattern;
+    if (build_listings.count(bp) != 0) continue;
+    auto bl = co_await ListPattern(&client, bp, options_.meta_cache);
+    if (!bl.ok()) co_return bl.status();
+    if (bl->files.empty()) {
+      co_return Status::NotFound("no build input files match " + bp);
+    }
+    build_listings.emplace(bp, *std::move(bl));
   }
 
-  Result<PhysicalQuery> physical = Status::Internal("not planned");
-  Result<PatternListing> probe_listing_or = Status::Internal("not listed");
-  std::map<std::string, PatternListing> build_listings;  // By pattern.
-  if (!has_join) {
-    // Single-table path: plan, then list (the original sequence).
-    physical = PlanQuery(query, options.tuning);
-    if (!physical.ok()) co_return physical.status();
-    // PlanQuery leaves explain_text empty; regenerate the single-table
-    // rendering so QueryReport::explain_text (and EXPLAIN ANALYZE) work
-    // uniformly. Pure host-side recomputation: no requests, no RNG.
-    OptimizerOptions explain_opt;
-    explain_opt.tuning = options.tuning;
-    auto explained = ExplainQuery(query, {}, explain_opt);
-    if (explained.ok()) physical->explain_text = *std::move(explained);
-    probe_listing_or =
-        co_await ListPattern(&client, physical->pattern, options_.meta_cache);
-    if (!probe_listing_or.ok()) co_return probe_listing_or.status();
-  } else {
-    // Join path: expand every relation's glob up front — the listings
-    // feed the optimizer's catalog and later drive build-file
-    // distribution.
-    probe_listing_or =
-        co_await ListPattern(&client, query.pattern(), options_.meta_cache);
-    if (!probe_listing_or.ok()) co_return probe_listing_or.status();
-    for (const auto& op : query.ops()) {
-      if (op.kind != PlanOp::Kind::kJoin) continue;
-      const std::string& bp = op.join->build_pattern;
-      if (build_listings.count(bp) != 0) continue;
-      auto bl = co_await ListPattern(&client, bp, options_.meta_cache);
-      if (!bl.ok()) co_return bl.status();
-      if (bl->files.empty()) {
-        co_return Status::NotFound("no build input files match " + bp);
-      }
-      build_listings.emplace(bp, *std::move(bl));
-    }
-
-    // Assemble the optimizer's catalog: sizes from the listings; row
-    // counts and column bounds from the stats index when enabled. Floated
-    // filter columns are probed against every relation — lookups of
-    // columns a relation does not have simply miss.
+  // Assemble the optimizer's catalog: sizes from the listings; row counts
+  // and column bounds from the stats index when enabled. Floated filter
+  // columns are probed against every relation — lookups of columns a
+  // relation does not have simply miss. A join-free plan has nothing to
+  // cost, so it gets no catalog (and issues no stats-index lookups).
+  Catalog catalog;
+  if (!build_listings.empty()) {
     std::set<std::string> filter_cols;
     std::set<std::string> probe_cols;
     std::map<std::string, std::set<std::string>> build_cols;
@@ -286,7 +269,6 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
       }
     }
 
-    Catalog catalog;
     StatsIndex stats(&cloud_->ddb());
     auto add_relation = [&](const std::string& pattern,
                             const PatternListing& l,
@@ -330,35 +312,31 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
       catalog.relations[pattern] = std::move(rs);
       co_return Status::OK();
     };
-    CO_RETURN_NOT_OK(co_await add_relation(query.pattern(),
-                                           *probe_listing_or, probe_cols));
+    CO_RETURN_NOT_OK(co_await add_relation(query.pattern(), probe_listing,
+                                           probe_cols));
     for (const auto& [bp, bl] : build_listings) {
       CO_RETURN_NOT_OK(co_await add_relation(bp, bl, build_cols[bp]));
     }
-
-    // Fleet-size estimate for the broadcast alternative's cost; the final
-    // count is settled below, after pruning.
-    int est_workers =
-        options.num_workers > 0
-            ? options.num_workers
-            : static_cast<int>(
-                  (probe_listing_or->files.size() +
-                   static_cast<size_t>(options.files_per_worker) - 1) /
-                  static_cast<size_t>(options.files_per_worker));
-    est_workers = std::max(
-        1, std::min<int>(est_workers,
-                         static_cast<int>(probe_listing_or->files.size())));
-
-    OptimizerOptions opt;
-    opt.tuning = options.tuning;
-    opt.workers = est_workers;
-    opt.strategy = options.join_strategy;
-    physical = OptimizeQuery(query, catalog, opt);
-    if (!physical.ok()) co_return physical.status();
   }
-  PatternListing& probe_listing = *probe_listing_or;
-  std::vector<engine::FileRef>& files = probe_listing.files;
-  std::map<std::string, int64_t>& file_sizes = probe_listing.sizes;
+
+  // Fleet-size estimate for the broadcast alternative's cost; the final
+  // count is settled below, after pruning.
+  int est_workers =
+      options.num_workers > 0
+          ? options.num_workers
+          : static_cast<int>(
+                (files.size() +
+                 static_cast<size_t>(options.files_per_worker) - 1) /
+                static_cast<size_t>(options.files_per_worker));
+  est_workers =
+      std::max(1, std::min<int>(est_workers, static_cast<int>(files.size())));
+
+  OptimizerOptions opt;
+  opt.tuning = options.tuning;
+  opt.workers = est_workers;
+  opt.strategy = options.join_strategy;
+  Result<PhysicalQuery> physical = OptimizeQuery(query, catalog, opt);
+  if (!physical.ok()) co_return physical.status();
   if (files.empty()) {
     co_return Status::NotFound("no input files match " + physical->pattern);
   }
@@ -617,6 +595,25 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   double last_progress = t_invoked;
   const double deadline = t_start + options_.query_timeout_s;
   const uint64_t collect_span = obs::Begin(tr, 0, "driver", "collect");
+  // Re-invokes one worker alone under its next attempt id: a transient
+  // failure's retry, or a straggler past its deadline. Its argument is a
+  // named lvalue and the payload bytes a named local, so no temporary is
+  // held across the co_await (the GCC 12 rule, core/session_manager.h).
+  auto reinvoke = [&](size_t w) -> sim::Async<void> {
+    InvocationPayload retry = payloads[w];
+    retry.self.attempt = static_cast<uint32_t>(attempts[w]++);
+    invoked_at[w] = sim->Now();
+    if (tr != nullptr) {
+      tr->Instant(collect_span, "reinvoke w" + std::to_string(w));
+    }
+    std::string raw = retry.Serialize();
+    Status s = co_await InvokeOne(function, std::move(raw),
+                                  options.attribution);
+    if (!s.ok()) {
+      LAMBADA_LOG(Warning) << "re-invocation of worker " << w
+                           << " failed: " << s.ToString();
+    }
+  };
   while (results.size() < static_cast<size_t>(workers)) {
     if (sim->Now() > deadline) {
       std::string missing;
@@ -654,19 +651,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
           attempts[w] < mit.max_attempts) {
         // Transient worker failure with attempts left: re-invoke instead
         // of recording the failure.
-        InvocationPayload retry = payloads[w];
-        retry.self.attempt = static_cast<uint32_t>(attempts[w]++);
-        invoked_at[w] = sim->Now();
-        if (tr != nullptr) {
-          tr->Instant(collect_span, "reinvoke w" + std::to_string(w));
-        }
-        Status s = co_await InvokeOne(function, retry.Serialize(),
-                                      options.attribution);
-        if (!s.ok()) {
-          LAMBADA_LOG(Warning)
-              << "re-invocation of worker " << w << " failed: "
-              << s.ToString();
-        }
+        co_await reinvoke(w);
         continue;
       }
       seen[w] = 1;
@@ -746,18 +731,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
           straggler_budget_s >= 0 &&
           sim->Now() >= invoked_at[wi] + straggler_budget_s;
       if (!past_deadline && !stalled) continue;
-      InvocationPayload retry = payloads[wi];
-      retry.self.attempt = static_cast<uint32_t>(attempts[wi]++);
-      invoked_at[wi] = sim->Now();
-      if (tr != nullptr) {
-        tr->Instant(collect_span, "reinvoke w" + std::to_string(w));
-      }
-      Status s = co_await InvokeOne(function, retry.Serialize(),
-                                    options.attribution);
-      if (!s.ok()) {
-        LAMBADA_LOG(Warning) << "re-invocation of worker " << w
-                             << " failed: " << s.ToString();
-      }
+      co_await reinvoke(wi);
     }
     if (stalled) last_progress = sim->Now();  // One sweep per stall.
   }
@@ -772,18 +746,13 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                            " failed: " + r.status_message);
     }
   }
-  if (mit.enabled || options_.serving_mode) {
-    // Retry schedules perturb arrival order; merge in worker order so
-    // float accumulation (and thus result bytes) is schedule-invariant.
-    // Serving mode sorts for the same reason: concurrent queries perturb
-    // each other's arrival order, and a worker-order merge makes the
-    // result byte-identical to a solo run. Without either, the historical
-    // arrival-order merge is kept, preserving committed benchmark bytes.
-    std::sort(results.begin(), results.end(),
-              [](const ResultMessage& a, const ResultMessage& b) {
-                return a.worker_id < b.worker_id;
-              });
-  }
+  // Merge in worker order: tree shapes, retry schedules and concurrent
+  // queries all perturb arrival order, and a worker-order merge keeps float
+  // accumulation (and thus result bytes) schedule-invariant.
+  std::sort(results.begin(), results.end(),
+            [](const ResultMessage& a, const ResultMessage& b) {
+              return a.worker_id < b.worker_id;
+            });
   std::vector<engine::TableChunk> partials;
   partials.reserve(results.size());
   for (auto& r : results) {
@@ -865,17 +834,13 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   report.worker_results = std::move(results);
   report.join_choices = physical->join_choices;
   report.explain_text = physical->explain_text;
+  // Other queries' invocations (concurrent ones, or a previous query's
+  // late attempts) interleave in the completion log; keep ours.
   const auto& all_metrics = cloud_->faas().completed_metrics();
-  if (options_.serving_mode) {
-    // Concurrent queries interleave in the completion log; keep ours.
-    for (auto it = all_metrics.begin() +
-                   static_cast<std::ptrdiff_t>(metrics_before);
-         it != all_metrics.end(); ++it) {
-      if (it->query_id == query_id) report.worker_metrics.push_back(*it);
-    }
-  } else {
-    report.worker_metrics.assign(all_metrics.begin() + metrics_before,
-                                 all_metrics.end());
+  for (auto it = all_metrics.begin() +
+                 static_cast<std::ptrdiff_t>(metrics_before);
+       it != all_metrics.end(); ++it) {
+    if (it->query_id == query_id) report.worker_metrics.push_back(*it);
   }
 
   if (tr != nullptr) {

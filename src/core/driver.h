@@ -11,7 +11,6 @@
 #include "core/invocation_tree.h"
 #include "core/messages.h"
 #include "core/optimizer.h"
-#include "core/planner.h"
 #include "engine/table.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -56,10 +55,9 @@ struct DriverOptions {
   /// settings change timing only — results are byte-identical.
   exec::ExecContext worker_exec;
   /// Serving mode (core/session_manager.h): each query collects results on
-  /// its own SQS queue (concurrent queries over one deployment would
-  /// otherwise steal each other's messages), worker metrics are sliced by
-  /// query id, and partials merge in worker order. Off by default — the
-  /// solo driver keeps its historical schedules byte-for-byte.
+  /// its own SQS queue, since concurrent queries over one deployment would
+  /// otherwise steal each other's messages. Off by default: a solo driver
+  /// collects every query on `result_queue`.
   bool serving_mode = false;
   /// Optional warm metadata cache consulted for driver-side LISTs
   /// (serving mode; see docs/SERVING.md).
@@ -68,7 +66,7 @@ struct DriverOptions {
 
 /// Straggler and crash mitigation policy of the driver's result-wait
 /// loop. Disabled by default: the fault-free fast path then takes the
-/// exact pre-mitigation schedule (arrival-order merge, no extra draws).
+/// exact pre-mitigation schedule (no re-invocations, no extra draws).
 struct MitigationOptions {
   bool enabled = false;
   /// Fleet completion quantile that arms the per-worker progress
@@ -158,8 +156,8 @@ struct QueryReport {
   std::vector<ResultMessage> worker_results;
   /// Container-level timing (invocation, cold starts) per worker.
   std::vector<cloud::WorkerMetrics> worker_metrics;
-  /// The optimizer's per-join strategy decisions (empty for single-table
-  /// queries) and the deterministic plan rendering.
+  /// The optimizer's per-join strategy decisions (empty for a join-free
+  /// query) and the deterministic plan rendering.
   std::vector<JoinChoice> join_choices;
   std::string explain_text;
   /// Fault-tolerance telemetry for imperfect runs. `total_attempts` counts

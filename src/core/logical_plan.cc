@@ -64,6 +64,11 @@ ExprPtr FoldLeadingFilters(const std::vector<PlanOp>& ops,
   return folded;
 }
 
+namespace {
+
+/// Projection push-down over a linear op run: base columns referenced by
+/// the pushed filter, the op run, and `extra_columns`, excluding derived
+/// columns.
 std::vector<std::string> PushdownProjection(
     const ExprPtr& scan_filter, const std::vector<PlanOp>& ops,
     const std::vector<std::string>& extra_columns) {
@@ -88,6 +93,8 @@ bool IsRowOp(const PlanOp& op) {
   return op.kind == PlanOp::Kind::kFilter || op.kind == PlanOp::Kind::kMap ||
          op.kind == PlanOp::Kind::kSelect;
 }
+
+}  // namespace
 
 std::optional<std::set<std::string>> ClosedOutputSet(
     const std::vector<PlanOp>& ops) {

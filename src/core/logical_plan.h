@@ -65,17 +65,17 @@ struct LogicalPlan {
   std::vector<PlanOp> having;
 };
 
-/// Lowers a Query into the IR. Join-free queries come back with every op
-/// in relations[0].ops / tail (the planner's single-table path consumes
-/// the op chain directly and bypasses the optimizer entirely). For join
-/// queries this validates the shape the optimizer supports: row ops only
-/// before the first join and on build sides, filters-only between joins,
-/// no explicit exchanges, aggregate terminal up to trailing HAVING
-/// filters.
+/// Lowers a Query into the IR. A join-free query is a plan with zero join
+/// edges: its row ops up to the first explicit exchange land in
+/// relations[0].ops, the rest of the chain in `tail`. For join queries
+/// this validates the shape the optimizer supports: row ops only before
+/// the first join and on build sides, filters-only between joins, no
+/// explicit exchanges. Either way the aggregate must be terminal up to
+/// trailing HAVING filters.
 Result<LogicalPlan> BuildLogicalPlan(const Query& query);
 
 // ---------------------------------------------------------------------------
-// Rewrite helpers shared by the planner and the optimizer
+// Rewrite helpers of the optimizer
 // ---------------------------------------------------------------------------
 
 /// Columns required by one op (its own expressions; a kJoin contributes
@@ -90,15 +90,6 @@ void CollectOpOutputs(const PlanOp& op, std::set<std::string>* produced);
 /// scan predicate and advances *first_kept past it.
 engine::ExprPtr FoldLeadingFilters(const std::vector<PlanOp>& ops,
                                    size_t* first_kept);
-
-/// Projection push-down over a linear op run: base columns referenced by
-/// the pushed filter, the op run, and `extra_columns`, excluding derived
-/// columns.
-std::vector<std::string> PushdownProjection(
-    const engine::ExprPtr& scan_filter, const std::vector<PlanOp>& ops,
-    const std::vector<std::string>& extra_columns);
-
-bool IsRowOp(const PlanOp& op);
 
 /// The closed output-column set of a row-op run, if any: a Select closes
 /// the set to its names, later Maps extend it; without a Select the set

@@ -324,9 +324,6 @@ bool Disjoint(const std::set<std::string>& a, const std::set<std::string>& b) {
 Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
                                     const OptimizerOptions& options) {
   ASSIGN_OR_RETURN(LogicalPlan lp, BuildLogicalPlan(query));
-  if (lp.joins.empty()) {
-    return Status::Internal("OptimizeQuery requires at least one join");
-  }
   const size_t m = lp.joins.size();
   if (m > 63) return Status::NotImplemented("more than 63 joins");
 
@@ -552,8 +549,8 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
 
   std::vector<size_t> order;
   bool have_stats = probe0.bytes > 0;
-  if (m == 1) {
-    order.push_back(0);
+  if (m <= 1) {
+    order.assign(m, 0);  // Zero or one join: nothing to order.
   } else if (any_open || !have_stats ||
              m > static_cast<size_t>(std::max(1, options.max_dp_relations))) {
     // Greedy (or syntax order when there is nothing to optimize with):
@@ -711,8 +708,8 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
   out.driver_ops = lp.having;
 
   // -- 6. Probe projection push-down over the assembled pipeline ------------
-  // Mirrors the single-join planner: any open build output means post-join
-  // references cannot be attributed to a side — scan everything.
+  // Any open build output means post-join references cannot be attributed
+  // to a side — scan everything.
   bool scan_all = false;
   for (const auto& e : edges) {
     if (!e.build_out.has_value()) scan_all = true;
@@ -756,7 +753,7 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
   // -- 7. Explain text -------------------------------------------------------
   std::ostringstream ex;
   ex << "plan for " << out.pattern << "\n";
-  ex << "  scan probe=" << out.pattern;
+  ex << "  scan " << (m > 0 ? "probe=" : "") << out.pattern;
   if (out.fragment.scan_filter != nullptr) {
     ex << " filter=" << out.fragment.scan_filter->ToString();
   }
@@ -827,62 +824,15 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
   return out;
 }
 
-Result<std::string> ExplainQuery(const Query& query, const Catalog& catalog,
-                                 const OptimizerOptions& options) {
-  bool has_join = false;
-  for (const auto& op : query.ops()) {
-    if (op.kind == PlanOp::Kind::kJoin) has_join = true;
+int64_t AdaptiveChunkBytes(int64_t scan_bytes_per_worker, int connections) {
+  constexpr int64_t kMiB = 1024 * 1024;
+  constexpr int64_t kSaturationBytes = 16 * kMiB;  // Fig. 7: 1-conn knee.
+  constexpr int64_t kMinChunk = kMiB;              // Fig. 7: cost floor.
+  int64_t chunk = kSaturationBytes / std::max(1, connections);
+  if (scan_bytes_per_worker > 0) {
+    chunk = std::min(chunk, std::max(kMinChunk, scan_bytes_per_worker / 8));
   }
-  if (has_join) {
-    ASSIGN_OR_RETURN(PhysicalQuery phys,
-                     OptimizeQuery(query, catalog, options));
-    return phys.explain_text;
-  }
-  ASSIGN_OR_RETURN(PhysicalQuery phys, PlanQuery(query, options.tuning));
-  std::ostringstream ex;
-  ex << "plan for " << phys.pattern << "\n";
-  ex << "  scan " << phys.pattern;
-  if (phys.fragment.scan_filter != nullptr) {
-    ex << " filter=" << phys.fragment.scan_filter->ToString();
-  }
-  ex << " projection=["
-     << (phys.fragment.scan_projection.empty()
-             ? "*"
-             : JoinNames(phys.fragment.scan_projection))
-     << "]\n";
-  for (const PlanOp& op : phys.fragment.ops) {
-    switch (op.kind) {
-      case PlanOp::Kind::kFilter:
-        ex << "  filter " << op.expr->ToString() << "\n";
-        break;
-      case PlanOp::Kind::kMap:
-        ex << "  map " << op.name << "=" << op.expr->ToString() << "\n";
-        break;
-      case PlanOp::Kind::kSelect:
-        ex << "  select [" << JoinNames(op.names) << "]\n";
-        break;
-      case PlanOp::Kind::kExchange:
-        ex << "  exchange keys=[" << JoinNames(op.exchange->keys)
-           << "] levels=" << op.exchange->levels << "\n";
-        break;
-      case PlanOp::Kind::kAggregate: {
-        ex << "  aggregate group=[" << JoinNames(op.group_by) << "] aggs=[";
-        for (size_t a = 0; a < op.aggs.size(); ++a) {
-          if (a > 0) ex << ", ";
-          ex << engine::AggKindName(op.aggs[a].kind) << " as "
-             << op.aggs[a].output_name;
-        }
-        ex << "]\n";
-        break;
-      }
-      default:
-        break;
-    }
-  }
-  for (const PlanOp& op : phys.driver_ops) {
-    ex << "  having " << op.expr->ToString() << "\n";
-  }
-  return ex.str();
+  return std::clamp(chunk, kMinChunk, kSaturationBytes);
 }
 
 }  // namespace lambada::core

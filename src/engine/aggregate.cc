@@ -275,6 +275,15 @@ TableChunk HashAggregator::Finalize() const {
             [](const GroupState* a, const GroupState* b) {
               return a->keys < b->keys;
             });
+  // A global aggregate over zero rows still yields one row, holding its
+  // empty state: COUNT is 0, and SUM, AVG, MIN and MAX are 0 too because
+  // the engine has no NULL. A grouped aggregate over zero rows has no
+  // groups, hence no rows.
+  GroupState empty;
+  if (group_by_.empty() && groups_.empty()) {
+    empty.acc.assign(StateWidth(), 0.0);
+    ordered.push_back(&empty);
+  }
   for (const GroupState* g : ordered) {
     size_t col = 0;
     for (size_t k = 0; k < group_by_.size(); ++k, ++col) {

@@ -73,7 +73,8 @@ class HashAggregator {
   TableChunk PartialState() const;
 
   /// Finalizes into the user-visible result (group keys + one column per
-  /// aggregate, AVG divided out).
+  /// aggregate, AVG divided out). A global aggregate (no group-by) always
+  /// yields exactly one row, even over zero input rows.
   TableChunk Finalize() const;
 
   /// Schema of partial-state chunks for these specs.

@@ -13,7 +13,6 @@
 #include "core/messages.h"
 #include "core/optimizer.h"
 #include "core/plan.h"
-#include "core/planner.h"
 #include "core/worker.h"
 #include "engine/chunk_serde.h"
 #include "engine/partition.h"
@@ -280,7 +279,7 @@ TEST(PlannerTest, LeadingFiltersPushIntoScan) {
                .Filter(Col("a") >= Lit(1))
                .Filter(Col("b") < Lit(2))
                .Aggregate({}, {engine::Count("n")});
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q);
   ASSERT_TRUE(phys.ok());
   ASSERT_NE(phys->fragment.scan_filter, nullptr);
   // Both filters folded into one conjunction.
@@ -297,7 +296,7 @@ TEST(PlannerTest, ProjectionPushdownCollectsReferencedColumns) {
                .Filter(Col("f") > Lit(0))
                .Map(Col("x") * Col("y"), "v")
                .ReduceSum("v");
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q);
   ASSERT_TRUE(phys.ok());
   std::set<std::string> proj(phys->fragment.scan_projection.begin(),
                              phys->fragment.scan_projection.end());
@@ -311,11 +310,11 @@ TEST(PlannerTest, AggregateMustBeLast) {
   auto q = Query::FromParquet("s3://d/*.lpq")
                .Aggregate({}, {engine::Count("n")})
                .Map(Col("n") * Lit(2), "n2");
-  EXPECT_FALSE(PlanQuery(q).ok());
+  EXPECT_FALSE(OptimizeQuery(q).ok());
   // ...but trailing filters become driver-scope HAVING ops.
-  auto having = PlanQuery(Query::FromParquet("s3://d/*.lpq")
-                              .Aggregate({}, {engine::Count("n")})
-                              .Filter(Col("n") > Lit(0)));
+  auto having = OptimizeQuery(Query::FromParquet("s3://d/*.lpq")
+                                  .Aggregate({}, {engine::Count("n")})
+                                  .Filter(Col("n") > Lit(0)));
   ASSERT_TRUE(having.ok()) << having.status().ToString();
   ASSERT_EQ(having->driver_ops.size(), 1u);
   EXPECT_EQ(having->driver_ops[0].kind, PlanOp::Kind::kFilter);
@@ -327,7 +326,7 @@ TEST(PlannerTest, FilterAfterMapStaysInPipeline) {
   auto q = Query::FromParquet("s3://d/*.lpq")
                .Map(Col("x") * Lit(2), "x2")
                .Filter(Col("x2") > Lit(10));
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q);
   ASSERT_TRUE(phys.ok());
   EXPECT_EQ(phys->fragment.scan_filter, nullptr);
   ASSERT_EQ(phys->fragment.ops.size(), 2u);
@@ -345,7 +344,7 @@ TEST(PlannerTest, JoinInsertsTwoSidedExchange) {
                .JoinWith(build, {"l_orderkey"}, {"o_orderkey"})
                .Aggregate({"l_shipmode"},
                           {engine::Sum(Col("o_orderpriority"), "s")});
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q);
   ASSERT_TRUE(phys.ok()) << phys.status().ToString();
   ASSERT_EQ(phys->build_inputs.size(), 1u);
   EXPECT_EQ(phys->build_inputs[0].pattern, "s3://d/orders/*.lpq");
@@ -383,7 +382,7 @@ TEST(PlannerTest, JoinWithoutClosedBuildOutputScansEverything) {
   auto q = Query::FromParquet("s3://d/li/*.lpq")
                .JoinWith(build, {"l_orderkey"}, {"o_orderkey"})
                .Aggregate({}, {engine::Sum(Col("o_totalprice"), "s")});
-  auto phys = PlanQuery(q);
+  auto phys = OptimizeQuery(q);
   ASSERT_TRUE(phys.ok()) << phys.status().ToString();
   EXPECT_TRUE(phys->fragment.scan_projection.empty());
   const JoinSpec& join = *phys->fragment.ops[phys->fragment.JoinIndex()]
@@ -398,19 +397,19 @@ TEST(PlannerTest, JoinProvidedColumnsRespectJoinType) {
   // likewise stays attributable to the probe scan.
   auto build = Query::FromParquet("s3://d/dim/*.lpq")
                    .Select({Col("dg"), Col("w")}, {"dg", "w"});
-  auto semi = PlanQuery(Query::FromParquet("s3://d/t/*.lpq")
-                            .JoinWith(build, {"g"}, {"dg"},
-                                      engine::JoinType::kLeftSemi)
-                            .Aggregate({}, {engine::Sum(Col("w"), "s")}));
+  auto semi = OptimizeQuery(Query::FromParquet("s3://d/t/*.lpq")
+                                .JoinWith(build, {"g"}, {"dg"},
+                                          engine::JoinType::kLeftSemi)
+                                .Aggregate({}, {engine::Sum(Col("w"), "s")}));
   ASSERT_TRUE(semi.ok()) << semi.status().ToString();
   std::set<std::string> semi_proj(semi->fragment.scan_projection.begin(),
                                   semi->fragment.scan_projection.end());
   EXPECT_EQ(semi_proj, (std::set<std::string>{"g", "w"}));
 
-  auto inner = PlanQuery(Query::FromParquet("s3://d/t/*.lpq")
-                             .JoinWith(build, {"g"}, {"dg"})
-                             .Aggregate({"dg"}, {engine::Sum(Col("w"),
-                                                             "s")}));
+  auto inner = OptimizeQuery(Query::FromParquet("s3://d/t/*.lpq")
+                                 .JoinWith(build, {"g"}, {"dg"})
+                                 .Aggregate({"dg"}, {engine::Sum(Col("w"),
+                                                                 "s")}));
   ASSERT_TRUE(inner.ok()) << inner.status().ToString();
   std::set<std::string> inner_proj(
       inner->fragment.scan_projection.begin(),
@@ -424,36 +423,36 @@ TEST(PlannerTest, JoinRejections) {
   auto build = Query::FromParquet("s3://d/b/*.lpq");
   // Two joins now plan as a chained fragment (the cost-based optimizer's
   // multi-join path).
-  auto two = PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                           .JoinWith(build, {"k"}, {"k2"})
-                           .JoinWith(build, {"k"}, {"k2"}));
+  auto two = OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                               .JoinWith(build, {"k"}, {"k2"})
+                               .JoinWith(build, {"k"}, {"k2"}));
   ASSERT_TRUE(two.ok()) << two.status().ToString();
   EXPECT_EQ(two->fragment.JoinIndices().size(), 2u);
   ASSERT_EQ(two->build_inputs.size(), 2u);
   // Explicit repartition before the join.
-  EXPECT_FALSE(PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                             .Repartition({"k"})
-                             .JoinWith(build, {"k"}, {"k2"}))
+  EXPECT_FALSE(OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                                 .Repartition({"k"})
+                                 .JoinWith(build, {"k"}, {"k2"}))
                    .ok());
   // Aggregating build side.
   EXPECT_FALSE(
-      PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                    .JoinWith(build.Aggregate({}, {engine::Count("n")}),
-                              {"k"}, {"k2"}))
+      OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                        .JoinWith(build.Aggregate({}, {engine::Count("n")}),
+                                  {"k"}, {"k2"}))
           .ok());
   // Build-side Select that drops the build key.
   EXPECT_FALSE(
-      PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                    .JoinWith(build.Select({Col("v")}, {"v"}), {"k"},
-                              {"k2"}))
+      OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                        .JoinWith(build.Select({Col("v")}, {"v"}), {"k"},
+                                  {"k2"}))
           .ok());
   // Probe-side Select that drops the probe key: caught at plan time, not
   // after the fleet is already running.
   EXPECT_FALSE(
-      PlanQuery(Query::FromParquet("s3://d/a/*.lpq")
-                    .Select({Col("v")}, {"v"})
-                    .JoinWith(build.Select({Col("k2")}, {"k2"}), {"k"},
-                              {"k2"}))
+      OptimizeQuery(Query::FromParquet("s3://d/a/*.lpq")
+                        .Select({Col("v")}, {"v"})
+                        .JoinWith(build.Select({Col("k2")}, {"k2"}), {"k"},
+                                  {"k2"}))
           .ok());
 }
 

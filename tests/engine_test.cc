@@ -195,6 +195,21 @@ TEST(AggregateTest, EmptyInputEmptyOutput) {
   EXPECT_EQ(agg.num_groups(), 0u);
 }
 
+TEST(AggregateTest, GlobalAggregateOverNoRowsIsOneRow) {
+  // No group-by: one row of the empty state. COUNT is 0 and, with no NULL
+  // in the engine, SUM, AVG, MIN and MAX are 0 as well.
+  HashAggregator agg({}, {Count("n"), Sum(Col("x"), "s"), Avg(Col("x"), "a"),
+                          Min(Col("x"), "mn"), Max(Col("x"), "mx")});
+  TableChunk out = agg.Finalize();
+  ASSERT_EQ(out.num_rows(), 1u);
+  ASSERT_EQ(out.num_columns(), 5u);
+  EXPECT_EQ(out.column(0).i64()[0], 0);
+  for (size_t c = 1; c < out.num_columns(); ++c) {
+    EXPECT_EQ(out.column(c).f64()[0], 0.0) << "column " << c;
+  }
+  EXPECT_EQ(agg.num_groups(), 0u);
+}
+
 TEST(AggregateTest, GlobalAggregateWithoutGroups) {
   HashAggregator agg({}, {Sum(Col("y"), "s")});
   ASSERT_TRUE(agg.ConsumeInput(SampleChunk()).ok());

@@ -471,9 +471,6 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwoAtAllThreads) {
     LAMBADA_CHECK_OK(workload::LoadLineitem(&cloud.s3(), "tpch", "li/", li));
     auto q = workload::TpchQ6("s3://tpch/li/*.lpq");
     RunOptions ropts;
-    // Worker-order merge: result bytes become schedule-invariant, so the
-    // two tree shapes (different arrival orders) are comparable.
-    ropts.mitigation.enabled = true;
     auto report = driver.RunToCompletion(q, ropts);
     LAMBADA_CHECK(report.ok()) << report.status().ToString();
     LAMBADA_CHECK(report->tree_depth == depth);

@@ -1,6 +1,6 @@
 #include <gtest/gtest.h>
 
-#include "core/planner.h"
+#include "core/optimizer.h"
 #include "core/sql.h"
 #include "workload/tpch.h"
 
@@ -79,7 +79,7 @@ TEST(SqlTest, TpchQ6InSqlPlansLikeBuilderQ6) {
       "AND l_discount BETWEEN 0.05 AND 0.07 "
       "AND l_quantity < 24.0");
   ASSERT_TRUE(sql.ok()) << sql.status().ToString();
-  auto phys = PlanQuery(*sql);
+  auto phys = OptimizeQuery(*sql);
   ASSERT_TRUE(phys.ok());
   // Same pruning bounds as the builder version of Q6.
   auto bounds = engine::ExtractColumnBounds(phys->fragment.scan_filter);
@@ -149,7 +149,7 @@ TEST(SqlJoinTest, InnerJoinParsesToJoinOp) {
   EXPECT_TRUE(jop.join->build_ops.empty());
   EXPECT_EQ(q->ops()[1].kind, PlanOp::Kind::kFilter);
   // And the whole thing plans as a two-sided exchange fragment.
-  auto phys = PlanQuery(*q);
+  auto phys = OptimizeQuery(*q);
   ASSERT_TRUE(phys.ok()) << phys.status().ToString();
   ASSERT_EQ(phys->build_inputs.size(), 1u);
   EXPECT_EQ(phys->build_inputs[0].pattern, "s3://tpch/orders/*.lpq");
@@ -192,7 +192,7 @@ TEST(SqlJoinTest, BuildKeyReferencesRewriteToProbeKey) {
   EXPECT_EQ(filter.expr->ToString().find("o_orderkey"), std::string::npos);
   EXPECT_EQ(q->ops().back().group_by,
             (std::vector<std::string>{"l_orderkey"}));
-  ASSERT_TRUE(PlanQuery(*q).ok());
+  ASSERT_TRUE(OptimizeQuery(*q).ok());
 }
 
 TEST(SqlJoinTest, MalformedJoinRejected) {
@@ -255,7 +255,7 @@ TEST(SqlHavingTest, HavingBecomesTrailingFilter) {
   EXPECT_EQ(q->ops()[1].kind, PlanOp::Kind::kFilter);
 
   // The planner hoists the post-aggregate filter into the driver scope.
-  auto phys = PlanQuery(*q);
+  auto phys = OptimizeQuery(*q);
   ASSERT_TRUE(phys.ok()) << phys.status().ToString();
   EXPECT_TRUE(phys->has_final_aggregate);
   ASSERT_EQ(phys->driver_ops.size(), 1u);

@@ -253,6 +253,20 @@ TEST_F(TpchQueryFixture, Q6CheaperAndLighterThanQ1) {
   EXPECT_LT(q6->cost.s3_bytes_read, q1->cost.s3_bytes_read);
 }
 
+TEST_F(TpchQueryFixture, CountOverZeroMatchingRowsIsOneRowHoldingZero) {
+  // No row ships in 2010: min/max pruning empties every worker's scan, and
+  // the global COUNT must still answer one row holding 0, as in SQL.
+  auto q = core::Query::FromParquet("s3://tpch/li/*.lpq")
+               .Filter(engine::Col("l_shipdate") >=
+                       engine::Lit(TpchDate(2010, 1, 1)))
+               .ReduceCount();
+  auto report = driver_->RunToCompletion(q, core::RunOptions{});
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->result.num_rows(), 1u);
+  ASSERT_EQ(report->result.num_columns(), 1u);
+  EXPECT_EQ(report->result.column(0).i64()[0], 0);
+}
+
 // ---------------------------------------------------------------------------
 // Distributed joins: Q12 (orders) and Q14 (part)
 // ---------------------------------------------------------------------------
