@@ -10,6 +10,11 @@ namespace lambada::cloud {
 
 namespace {
 
+/// Client-side Invoke retry policy (InvokeWithRetries): retries after the
+/// first failed call, and the backoff before the first retry.
+constexpr int kInvokeRetries = 8;
+constexpr double kInvokeBackoffS = 0.05;
+
 /// Degrades a NIC profile by the straggler factor of a worker's fate.
 sim::SharedLink::Config ScaleNic(sim::SharedLink::Config c, double factor) {
   c.sustained_bps *= factor;
@@ -73,11 +78,6 @@ Status WorkerEnv::ReserveMemory(int64_t bytes) {
 void WorkerEnv::ReleaseMemory(int64_t bytes) {
   memory_used_ -= bytes;
   LAMBADA_DCHECK(memory_used_ >= 0);
-}
-
-void WorkerEnv::RecordPhase(const std::string& label, double start) {
-  metrics_.phases.push_back(
-      WorkerMetrics::Phase{label, start, services_.sim->Now()});
 }
 
 // ---------------------------------------------------------------------------
@@ -179,6 +179,23 @@ sim::Async<Status> FaasService::Invoke(InvokerProfile profile,
   sim::Spawn(RunWorker(fn, std::move(payload), cold, initiated, sim_->Now(),
                        attribution));
   co_return Status::OK();
+}
+
+sim::Async<Status> FaasService::InvokeWithRetries(InvokerProfile profile,
+                                                  Rng* caller_rng,
+                                                  std::string function,
+                                                  std::string payload,
+                                                  CostLedger* attribution) {
+  double backoff = kInvokeBackoffS;
+  for (int attempt = 0;; ++attempt) {
+    Status s =
+        co_await Invoke(profile, caller_rng, function, payload, attribution);
+    if (s.ok() || !s.IsRetriable() || attempt >= kInvokeRetries) {
+      co_return s;
+    }
+    co_await sim::Sleep(sim_, backoff * (0.5 + caller_rng->NextDouble()));
+    backoff *= 2;
+  }
 }
 
 sim::Async<void> FaasService::RunWorker(Function* fn, std::string payload,

@@ -67,13 +67,6 @@ struct WorkerMetrics {
   /// payload so concurrent queries over one FaasService can slice
   /// completed_metrics() without cross-talk.
   std::string query_id;
-  /// Named sub-phases recorded by the handler, as (label, start, end).
-  struct Phase {
-    std::string label;
-    double start;
-    double end;
-  };
-  std::vector<Phase> phases;
 };
 
 /// Execution environment of one serverless worker invocation: its CPU
@@ -178,8 +171,6 @@ class WorkerEnv {
   // -- Metrics ---------------------------------------------------------------
 
   WorkerMetrics& metrics() { return metrics_; }
-  /// Records a named phase spanning [start, now].
-  void RecordPhase(const std::string& label, double start);
 
   /// Scale factor applied to modeled data sizes and compute work.
   double data_scale = 1.0;
@@ -309,6 +300,16 @@ class FaasService {
   sim::Async<Status> Invoke(InvokerProfile profile, Rng* caller_rng,
                             std::string function, std::string payload,
                             CostLedger* attribution = nullptr);
+
+  /// Invoke under the "aggressive timeouts and retries" policy every
+  /// caller uses (the driver and tree invokers alike): a retriable failure
+  /// is retried up to 8 times after a jittered backoff that starts at
+  /// 50 ms and doubles. Each retry draws one uniform from `caller_rng`,
+  /// and only after a retriable failure. Returns the last call's status.
+  sim::Async<Status> InvokeWithRetries(InvokerProfile profile,
+                                       Rng* caller_rng, std::string function,
+                                       std::string payload,
+                                       CostLedger* attribution);
 
   int active_executions() const { return active_; }
   int64_t total_invocations() const { return total_invocations_; }

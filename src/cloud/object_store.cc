@@ -1,12 +1,10 @@
 #include "cloud/object_store.h"
 
 #include <algorithm>
-#include <functional>
 #include <utility>
 
 #include "cloud/fault.h"
 #include "common/logging.h"
-#include "exec/request_batcher.h"
 #include "obs/trace.h"
 
 namespace lambada::cloud {
@@ -318,16 +316,45 @@ void ObjectStore::ClearBucket(const std::string& bucket) {
 
 namespace {
 
-/// Ceiling on the exponential backoff between retries. Never reached at
-/// the default budget (6 retries top out at 1.6 s), so default schedules
-/// are unchanged; it matters when callers raise max_retries under chaos.
-constexpr double kMaxBackoffS = 5.0;
+/// Retry budget of every S3Client verb and the backoff before the first
+/// retry; the backoff doubles per retry (topping out at 1.6 s).
+constexpr int kMaxRetries = 6;
+constexpr double kInitialBackoffS = 0.05;
+
+/// Hedging policy (HedgeConfig): the duplicate GET arms at this quantile
+/// of the observed latencies, once this many samples exist, and never
+/// sooner than the floor.
+constexpr double kHedgeQuantile = 0.9;
+constexpr size_t kHedgeMinSamples = 8;
+constexpr double kHedgeMinDelayS = 0.02;
 
 /// Annotates a gave-up retriable status with its retry count.
 Status AfterRetries(const Status& s, int retries) {
   if (retries == 0) return s;
   return Status(s.code(), s.message() + " (gave up after " +
                               std::to_string(retries) + " retries)");
+}
+
+/// The retry loop of every S3Client verb: calls `attempt` until it
+/// succeeds, fails non-retriably, or has been retried kMaxRetries times,
+/// sleeping a jittered, doubling backoff before each retry. Each retry
+/// counts in `ctx.stats`, marks an "s3.retry" instant on the trace, and
+/// draws one uniform from `ctx.rng` — only after a retriable failure.
+template <typename Attempt>
+auto WithRetries(sim::Simulator* sim, const NetContext& ctx, Attempt attempt)
+    -> decltype(attempt()) {
+  double backoff = kInitialBackoffS;
+  for (int retries = 0;; ++retries) {
+    auto r = co_await attempt();
+    if (r.ok()) co_return r;
+    const Status s = internal::ToStatus(r);
+    if (!s.IsRetriable()) co_return r;
+    if (retries >= kMaxRetries) co_return AfterRetries(s, retries);
+    if (ctx.stats != nullptr) ++ctx.stats->s3_retries;
+    if (ctx.tracer != nullptr) ctx.tracer->Instant(ctx.span, "s3.retry");
+    co_await sim::Sleep(sim, backoff * (0.5 + ctx.rng->NextDouble()));
+    backoff *= 2;
+  }
 }
 
 /// Shared state of one hedged-GET race, held by shared_ptr so the losing
@@ -380,11 +407,11 @@ sim::Async<void> HedgeArm(ObjectStore* store, NetContext ctx,
 
 double S3Client::HedgeDelay() const {
   std::vector<double> s(get_samples_);
-  size_t idx = static_cast<size_t>(ctx_.hedge->quantile *
-                                   static_cast<double>(s.size() - 1));
+  size_t idx =
+      static_cast<size_t>(kHedgeQuantile * static_cast<double>(s.size() - 1));
   std::nth_element(s.begin(), s.begin() + static_cast<ptrdiff_t>(idx),
                    s.end());
-  return std::max(ctx_.hedge->min_delay_s, s[idx]);
+  return std::max(kHedgeMinDelayS, s[idx]);
 }
 
 sim::Async<Result<BufferPtr>> S3Client::HedgedGet(std::string bucket,
@@ -419,7 +446,7 @@ sim::Async<Result<BufferPtr>> S3Client::DoGet(std::string bucket,
   }
   const double t0 = store_->simulator()->Now();
   Result<BufferPtr> r = Status::Internal("unreached");
-  if (static_cast<int>(get_samples_.size()) < ctx_.hedge->min_samples) {
+  if (get_samples_.size() < kHedgeMinSamples) {
     r = co_await store_->Get(ctx_, std::move(bucket), std::move(key),
                              offset, length);
   } else {
@@ -437,79 +464,45 @@ sim::Async<Result<BufferPtr>> S3Client::DoGet(std::string bucket,
   co_return r;
 }
 
+// Each verb hands WithRetries an attempt that owns its arguments, moved
+// from a named local: GCC 12 mishandles prvalue class-type arguments of
+// coroutines (see core/session_manager.h).
+
 sim::Async<Result<BufferPtr>> S3Client::Get(std::string bucket,
                                             std::string key, int64_t offset,
                                             int64_t length) {
-  double backoff = initial_backoff_s_;
-  for (int attempt = 0;; ++attempt) {
-    auto r = co_await DoGet(bucket, key, offset, length);
-    if (r.ok() || !r.status().IsRetriable()) co_return r;
-    if (attempt >= max_retries_) {
-      co_return AfterRetries(r.status(), attempt);
-    }
-    if (ctx_.stats != nullptr) ++ctx_.stats->s3_retries;
-    if (ctx_.tracer != nullptr) ctx_.tracer->Instant(ctx_.span, "s3.retry");
-    co_await sim::Sleep(store_->simulator(),
-                        std::min(backoff, kMaxBackoffS) *
-                            (0.5 + ctx_.rng->NextDouble()));
-    backoff *= 2;
-  }
+  auto attempt = [this, bucket = std::move(bucket), key = std::move(key),
+                  offset, length] {
+    return DoGet(bucket, key, offset, length);
+  };
+  return WithRetries(store_->simulator(), ctx_, std::move(attempt));
 }
 
 sim::Async<Result<ObjectStore::TailResult>> S3Client::GetTail(
     std::string bucket, std::string key, int64_t suffix_length) {
-  double backoff = initial_backoff_s_;
-  for (int attempt = 0;; ++attempt) {
-    auto r = co_await store_->GetTail(ctx_, bucket, key, suffix_length);
-    if (r.ok() || !r.status().IsRetriable()) co_return r;
-    if (attempt >= max_retries_) {
-      co_return Result<ObjectStore::TailResult>(
-          AfterRetries(r.status(), attempt));
-    }
-    if (ctx_.stats != nullptr) ++ctx_.stats->s3_retries;
-    if (ctx_.tracer != nullptr) ctx_.tracer->Instant(ctx_.span, "s3.retry");
-    co_await sim::Sleep(store_->simulator(),
-                        std::min(backoff, kMaxBackoffS) *
-                            (0.5 + ctx_.rng->NextDouble()));
-    backoff *= 2;
-  }
+  auto attempt = [this, bucket = std::move(bucket), key = std::move(key),
+                  suffix_length] {
+    return store_->GetTail(ctx_, bucket, key, suffix_length);
+  };
+  return WithRetries(store_->simulator(), ctx_, std::move(attempt));
 }
 
 sim::Async<Status> S3Client::Put(std::string bucket, std::string key,
                                  BufferPtr data, double scale) {
-  double backoff = initial_backoff_s_;
-  for (int attempt = 0;; ++attempt) {
-    Status s = co_await store_->Put(ctx_, bucket, key, data, scale);
-    if (s.ok() || !s.IsRetriable()) co_return s;
-    if (attempt >= max_retries_) {
-      co_return AfterRetries(s, attempt);
-    }
-    if (ctx_.stats != nullptr) ++ctx_.stats->s3_retries;
-    if (ctx_.tracer != nullptr) ctx_.tracer->Instant(ctx_.span, "s3.retry");
-    co_await sim::Sleep(store_->simulator(),
-                        std::min(backoff, kMaxBackoffS) *
-                            (0.5 + ctx_.rng->NextDouble()));
-    backoff *= 2;
-  }
+  auto attempt = [this, bucket = std::move(bucket), key = std::move(key),
+                  data = std::move(data), scale] {
+    return store_->Put(ctx_, bucket, key, data, scale);
+  };
+  return WithRetries(store_->simulator(), ctx_, std::move(attempt));
 }
 
 sim::Async<Result<std::vector<ObjectInfo>>> S3Client::List(
     std::string bucket, std::string prefix) {
-  double backoff = initial_backoff_s_;
-  for (int attempt = 0;; ++attempt) {
-    auto r = co_await store_->List(ctx_, bucket, prefix);
-    if (r.ok() || !r.status().IsRetriable()) co_return r;
-    if (attempt >= max_retries_) {
-      co_return Result<std::vector<ObjectInfo>>(
-          AfterRetries(r.status(), attempt));
-    }
-    if (ctx_.stats != nullptr) ++ctx_.stats->s3_retries;
-    if (ctx_.tracer != nullptr) ctx_.tracer->Instant(ctx_.span, "s3.retry");
-    co_await sim::Sleep(store_->simulator(),
-                        std::min(backoff, kMaxBackoffS) *
-                            (0.5 + ctx_.rng->NextDouble()));
-    backoff *= 2;
-  }
+  auto attempt = [this, bucket = std::move(bucket),
+                  prefix = std::move(prefix)] {
+    return store_->List(ctx_, bucket, prefix);
+  };
+  return WithRetries(store_->simulator(), ctx_, std::move(attempt));
 }
 
 sim::Async<Result<BufferPtr>> S3Client::GetWhenAvailable(
@@ -526,48 +519,6 @@ sim::Async<Result<BufferPtr>> S3Client::GetWhenAvailable(
     }
     co_await sim::Sleep(store_->simulator(), poll_interval_s);
   }
-}
-
-sim::Async<std::vector<Result<BufferPtr>>> S3Client::BatchGet(
-    std::vector<RangeRequest> requests, int depth) {
-  exec::RequestBatcher batcher(store_->simulator(), depth);
-  std::vector<std::function<sim::Async<Result<BufferPtr>>()>> thunks;
-  thunks.reserve(requests.size());
-  for (auto& req : requests) {
-    thunks.push_back([this, req = std::move(req)]() {
-      return Get(req.bucket, req.key, req.offset, req.length);
-    });
-  }
-  co_return co_await batcher.Run(std::move(thunks));
-}
-
-sim::Async<std::vector<Status>> S3Client::BatchPut(
-    std::vector<PutRequest> requests, int depth) {
-  exec::RequestBatcher batcher(store_->simulator(), depth);
-  std::vector<std::function<sim::Async<Status>()>> thunks;
-  thunks.reserve(requests.size());
-  for (auto& req : requests) {
-    thunks.push_back([this, req = std::move(req)]() mutable {
-      return Put(req.bucket, req.key, std::move(req.data), req.scale);
-    });
-  }
-  co_return co_await batcher.Run(std::move(thunks));
-}
-
-sim::Async<std::vector<Result<BufferPtr>>> S3Client::BatchGetWhenAvailable(
-    std::vector<KeyRequest> requests, double poll_interval_s,
-    double timeout_s, int depth) {
-  exec::RequestBatcher batcher(store_->simulator(), depth);
-  std::vector<std::function<sim::Async<Result<BufferPtr>>()>> thunks;
-  thunks.reserve(requests.size());
-  for (auto& req : requests) {
-    thunks.push_back([this, req = std::move(req), poll_interval_s,
-                      timeout_s]() {
-      return GetWhenAvailable(req.bucket, req.key, poll_interval_s,
-                              timeout_s);
-    });
-  }
-  co_return co_await batcher.Run(std::move(thunks));
 }
 
 }  // namespace lambada::cloud

@@ -180,15 +180,11 @@ class ObjectStore {
 
 /// Retrying wrapper implementing the "aggressive timeouts and retries"
 /// the paper applies against SlowDown responses and tail latencies
-/// (footnote 17). Retries retriable failures with exponential backoff.
+/// (footnote 17). Every verb retries retriable failures up to 6 times
+/// with a jittered exponential backoff starting at 50 ms.
 class S3Client {
  public:
-  S3Client(ObjectStore* store, NetContext ctx, int max_retries = 6,
-           double initial_backoff_s = 0.05)
-      : store_(store),
-        ctx_(ctx),
-        max_retries_(max_retries),
-        initial_backoff_s_(initial_backoff_s) {}
+  S3Client(ObjectStore* store, NetContext ctx) : store_(store), ctx_(ctx) {}
 
   sim::Async<Result<BufferPtr>> Get(std::string bucket, std::string key,
                                     int64_t offset = 0, int64_t length = -1);
@@ -208,43 +204,6 @@ class S3Client {
                                                  double poll_interval_s,
                                                  double timeout_s);
 
-  // -- Batched entry points --------------------------------------------------
-  // Fan out several requests with at most `depth` in flight (see
-  // exec::RequestBatcher: slot-ordered issue and results; depth 1 is the
-  // exact sequential schedule). Retry/backoff applies per request as in
-  // the single-request verbs. These are the object-store's public batch
-  // seam (covered by cloud_test) for callers whose unit of work is a
-  // whole request — e.g. a future real-S3 backend; the exchange drives
-  // RequestBatcher directly instead because its slots interleave
-  // deserialization and compute charging with each request.
-
-  struct RangeRequest {
-    std::string bucket;
-    std::string key;
-    int64_t offset = 0;
-    int64_t length = -1;  ///< < 0: to the end.
-  };
-  sim::Async<std::vector<Result<BufferPtr>>> BatchGet(
-      std::vector<RangeRequest> requests, int depth);
-
-  struct PutRequest {
-    std::string bucket;
-    std::string key;
-    BufferPtr data;
-    double scale = 1.0;
-  };
-  sim::Async<std::vector<Status>> BatchPut(std::vector<PutRequest> requests,
-                                           int depth);
-
-  /// Batched polling GET of whole objects (wait-then-read).
-  struct KeyRequest {
-    std::string bucket;
-    std::string key;
-  };
-  sim::Async<std::vector<Result<BufferPtr>>> BatchGetWhenAvailable(
-      std::vector<KeyRequest> requests, double poll_interval_s,
-      double timeout_s, int depth);
-
   const NetContext& ctx() const { return ctx_; }
   ObjectStore* store() { return store_; }
 
@@ -261,8 +220,6 @@ class S3Client {
 
   ObjectStore* store_;
   NetContext ctx_;
-  int max_retries_;
-  double initial_backoff_s_;
   /// Latencies of completed GETs, kept only while hedging is enabled;
   /// feeds the hedge-delay quantile.
   std::vector<double> get_samples_;

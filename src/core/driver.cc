@@ -16,10 +16,24 @@
 #include "core/worker.h"
 #include "engine/aggregate.h"
 #include "engine/chunk_serde.h"
+#include "format/source.h"
 
 namespace lambada::core {
 
 namespace {
+
+/// Concurrent Invoke calls the driver issues (the paper uses 128 threads,
+/// Section 4.2).
+constexpr int kInvokeThreads = 128;
+/// SQS long-poll wait per result receive call.
+constexpr double kResultPollWaitS = 1.0;
+/// Straggler deadline policy of the mitigation loop (MitigationOptions):
+/// the deadline arms once this share of the fleet has reported, and each
+/// straggler then gets max(kMinStragglerDeadlineS, kStragglerMultiplier x
+/// the time elapsed at that crossing).
+constexpr double kStragglerQuantile = 0.5;
+constexpr double kStragglerMultiplier = 3.0;
+constexpr double kMinStragglerDeadlineS = 5.0;
 
 /// One expanded input glob: the matched files, their virtual (scaled)
 /// sizes, and the derived stats-index dataset name.
@@ -127,18 +141,10 @@ void Driver::ResetWarm(int memory_mib) {
 sim::Async<Status> Driver::InvokeOne(const std::string& function,
                                      std::string payload,
                                      cloud::CostLedger* attribution) {
-  double backoff = 0.05;
-  for (int attempt = 0;; ++attempt) {
-    Status s = co_await cloud_->faas().Invoke(
-        cloud_->driver_invoker_profile(), &cloud_->driver_rng(), function,
-        payload, attribution);
-    if (s.ok() || !s.IsRetriable() || attempt >= options_.invoke_retries) {
-      co_return s;
-    }
-    co_await sim::Sleep(&cloud_->sim(),
-                        backoff * (0.5 + cloud_->driver_rng().NextDouble()));
-    backoff *= 2;
-  }
+  const cloud::InvokerProfile profile = cloud_->driver_invoker_profile();
+  return cloud_->faas().InvokeWithRetries(profile, &cloud_->driver_rng(),
+                                          function, std::move(payload),
+                                          attribution);
 }
 
 sim::Async<Status> Driver::InvokeWorkers(
@@ -152,8 +158,7 @@ sim::Async<Status> Driver::InvokeWorkers(
   // bounded pool of invocation threads.
   const std::vector<TreeNode> roots = TreeRoots(tree);
   auto* sim = &cloud_->sim();
-  auto gate =
-      std::make_shared<sim::Semaphore>(sim, options_.invoke_threads);
+  auto gate = std::make_shared<sim::Semaphore>(sim, kInvokeThreads);
   auto first_error = std::make_shared<Status>(Status::OK());
   std::vector<sim::Async<void>> calls;
   calls.reserve(roots.size());
@@ -332,7 +337,6 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
       std::max(1, std::min<int>(est_workers, static_cast<int>(files.size())));
 
   OptimizerOptions opt;
-  opt.tuning = options.tuning;
   opt.workers = est_workers;
   opt.strategy = options.join_strategy;
   Result<PhysicalQuery> physical = OptimizeQuery(query, catalog, opt);
@@ -425,19 +429,18 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                               " (exchange grid)\n";
   }
 
-  // ---- Resolve adaptive scan tuning from table stats (Figure 7). ----
+  // ---- Resolve the scan request size from table stats (Figure 7). ----
   // The listing gave the post-encoding (compressed) size of every input
   // file; together with the worker count that yields the bytes one worker
   // actually moves, which picks the request size balancing bandwidth
-  // saturation against request count. The probe relation dominates a
-  // join's scan traffic, so its files drive the choice for both sides.
-  if (physical->fragment.tuning.chunk_bytes <= 0) {
-    int64_t scan_bytes = 0;
-    for (const auto& f : files) scan_bytes += file_sizes[f.key];
-    physical->fragment.tuning.chunk_bytes = AdaptiveChunkBytes(
-        scan_bytes / std::max(1, workers),
-        physical->fragment.tuning.connections_per_read);
-  }
+  // saturation against request count for the connection count every
+  // worker's S3Source reads with. The probe relation dominates a join's
+  // scan traffic, so its files drive the choice for both sides.
+  int64_t scan_bytes = 0;
+  for (const auto& f : files) scan_bytes += file_sizes[f.key];
+  physical->fragment.chunk_bytes =
+      AdaptiveChunkBytes(scan_bytes / std::max(1, workers),
+                         format::S3Source::Options().connections);
 
   // ---- Plan the invocation tree (Section 4.2, generalized). ----
   TreeOptions topt;
@@ -445,7 +448,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   const cloud::RegionProfile& region = cloud_->region();
   topt.cost.driver_invoke_latency_s = region.remote_invoke_latency_s;
   topt.cost.driver_rate_per_s = region.remote_client_rate_per_s;
-  topt.cost.driver_threads = options_.invoke_threads;
+  topt.cost.driver_threads = kInvokeThreads;
   topt.cost.worker_invoke_latency_s = region.intra_invoke_latency_s;
   topt.cost.worker_start_s = cloud_->faas().config().cold_start_median_s +
                              cloud_->faas().config().cold_init_cpu_s;
@@ -549,17 +552,19 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // idempotent — any attempt's partial is byte-identical — so "first"
   // needs no attempt arbitration.
   MitigationOptions mit = options.mitigation;
+  double quantile = kStragglerQuantile;
+  double min_deadline_s = kMinStragglerDeadlineS;
   if (mit.enabled && mit.fleet_aware) {
-    // Fleet-size-aware knobs: a 10k-worker tree takes longer to merely
+    // Fleet-size-aware values: a 10k-worker tree takes longer to merely
     // start than a small fleet takes to finish, so the fixed defaults
     // either fire on healthy deep fleets or sleep through dead branches.
     // Derive them from the modeled start skew of this exact tree.
     const double skew = models::TreeStartSkew(
         tree.fanout, static_cast<uint32_t>(workers), topt.cost);
-    mit.quantile = std::clamp(
+    quantile = std::clamp(
         1.0 - 64.0 / static_cast<double>(workers), 0.5, 0.95);
     mit.stall_timeout_s = std::max(5.0, 3.0 * skew);
-    mit.min_deadline_s = std::max(2.0, 2.0 * skew);
+    min_deadline_s = std::max(2.0, 2.0 * skew);
   }
   // Subtree-recovery branch list: every gen-1 root subtree and, for
   // deeper trees, the gen-2 subtrees within each root. Host-side state —
@@ -590,7 +595,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // Progress-deadline state: armed once `quantile` of the fleet reported.
   const size_t quantile_need = std::max<size_t>(
       1, static_cast<size_t>(
-             std::ceil(mit.quantile * static_cast<double>(workers))));
+             std::ceil(quantile * static_cast<double>(workers))));
   double straggler_budget_s = -1.0;  // < 0: not armed yet.
   double last_progress = t_invoked;
   const double deadline = t_start + options_.query_timeout_s;
@@ -634,7 +639,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
           missing + "]");
     }
     auto batch = co_await cloud_->sqs().Receive(
-        dnet, result_queue, 10, options_.result_poll_wait_s);
+        dnet, result_queue, 10, kResultPollWaitS);
     if (!batch.ok()) co_return batch.status();
     for (auto& raw : *batch) {
       auto msg = ResultMessage::Parse(raw);
@@ -665,8 +670,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
     // the fleet's own pace times a slack multiplier.
     if (straggler_budget_s < 0 && results.size() >= quantile_need) {
       straggler_budget_s = std::max(
-          mit.min_deadline_s,
-          mit.straggler_multiplier * (sim->Now() - t_invoked));
+          min_deadline_s, kStragglerMultiplier * (sim->Now() - t_invoked));
     }
     // Speculative re-invocation: stragglers past their deadline, or the
     // whole missing set after a progress stall.
@@ -713,7 +717,8 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                         " [" + std::to_string(b.begin) + "," +
                         std::to_string(b.end) + ")");
       }
-      Status s = co_await InvokeOne(function, retry.Serialize(),
+      std::string raw = retry.Serialize();
+      Status s = co_await InvokeOne(function, std::move(raw),
                                     options.attribution);
       if (!s.ok()) {
         LAMBADA_LOG(Warning)
@@ -792,13 +797,9 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // Driver-scope HAVING filters run against the finalized result.
   for (const auto& op : physical->driver_ops) {
     if (report.result.num_columns() == 0) break;
-    auto mask = op.expr->Evaluate(report.result);
-    if (!mask.ok()) co_return mask.status();
-    std::vector<bool> keep(report.result.num_rows());
-    for (size_t i = 0; i < keep.size(); ++i) {
-      keep[i] = mask->ValueAsInt64(i) != 0;
-    }
-    report.result = report.result.Filter(keep);
+    auto kept = engine::FilterRows(report.result, *op.expr);
+    if (!kept.ok()) co_return kept.status();
+    report.result = *std::move(kept);
   }
   if (tr != nullptr) {
     tr->AddArg(merge_span, "rows",

@@ -31,8 +31,6 @@ struct DriverOptions {
   std::string result_queue = "lambada-results";
   /// Functions are named "{function_prefix}{memory_mib}".
   std::string function_prefix = "lambada-w";
-  /// Concurrent invocation threads (the paper uses 128, Section 4.2).
-  int invoke_threads = 128;
   /// Invocation-tree depth (Section 4.2, generalized): 0 picks the depth
   /// with the best modeled all-running time from the fleet size and the
   /// invoker profile (core/invocation_tree.h) — fleets of <= 4 workers
@@ -42,10 +40,7 @@ struct DriverOptions {
   /// its subtree ID range plus a pointer to the per-worker input table in
   /// S3 instead of its descendants' inputs.
   int invocation_tree_depth = 0;
-  /// SQS long-poll wait per receive call.
-  double result_poll_wait_s = 1.0;
   double query_timeout_s = 3600.0;
-  int invoke_retries = 8;
   /// Default exchange buckets created at install.
   int exchange_buckets = 10;
   std::string exchange_bucket_prefix = "lambada-x";
@@ -67,26 +62,23 @@ struct DriverOptions {
 /// Straggler and crash mitigation policy of the driver's result-wait
 /// loop. Disabled by default: the fault-free fast path then takes the
 /// exact pre-mitigation schedule (no re-invocations, no extra draws).
+/// Once half of the fleet has reported, each straggler gets a progress
+/// deadline derived from the fleet's own pace: max(5 s, 3 x the time the
+/// fleet took to reach that half).
 struct MitigationOptions {
   bool enabled = false;
-  /// Fleet completion quantile that arms the per-worker progress
-  /// deadline: once `quantile` of the fleet has reported, the stragglers
-  /// get a budget derived from the fleet's own pace.
-  double quantile = 0.5;
-  /// Budget = max(min_deadline_s, multiplier * elapsed-at-crossing).
-  double straggler_multiplier = 3.0;
-  double min_deadline_s = 5.0;
   /// Maximum invocation attempts per worker, including the first.
   int max_attempts = 3;
   /// With no new result for this long, every missing worker is re-invoked
   /// regardless of the quantile state (covers crashes before the quantile
   /// arms, e.g. a dead first-generation invoker).
   double stall_timeout_s = 30.0;
-  /// Derive quantile / min_deadline_s / stall_timeout_s from the fleet's
-  /// modeled start skew (models::TreeStartSkew) instead of the fixed
-  /// values above: big trees take longer to merely start, so fixed knobs
-  /// either fire on healthy deep fleets or sleep through dead branches.
-  /// Off by default — the fixed knobs then apply unchanged.
+  /// Derive the arming quantile, the minimum straggler deadline and
+  /// stall_timeout_s from the fleet's modeled start skew
+  /// (models::TreeStartSkew) instead of the fixed values above: big trees
+  /// take longer to merely start, so fixed values either fire on healthy
+  /// deep fleets or sleep through dead branches. Off by default — the
+  /// fixed values then apply unchanged.
   bool fleet_aware = false;
   /// Re-invoke a silent tree branch (no results from any worker in its
   /// claimed ID range) through its gen-1/gen-2 invoker with a fresh
@@ -116,7 +108,6 @@ struct RunOptions {
   int files_per_worker = 1;
   /// Explicit worker count; 0 derives it from the file count and F.
   int num_workers = 0;
-  ScanTuning tuning;
   /// Virtual-scaling factor forwarded to workers (DESIGN.md).
   double data_scale = 1.0;
   /// Consult the central min/max statistics index (core/stats_index.h)
@@ -238,6 +229,8 @@ class Driver {
       const std::string& inputs_key, const std::string& function,
       cloud::CostLedger* attribution);
 
+  /// One Invoke from the driver machine (its WAN profile and RNG) under
+  /// the shared retry policy (FaasService::InvokeWithRetries).
   sim::Async<Status> InvokeOne(const std::string& function,
                                std::string payload,
                                cloud::CostLedger* attribution);

@@ -23,6 +23,10 @@ using engine::TableChunk;
 constexpr double kPartitionCpuPerRow = 3e-9;
 constexpr double kSerializeCpuPerByte = 1.0 / 1.5e9;
 constexpr double kDeserializeCpuPerByte = 1.0 / 1.5e9;
+/// Receiver polling cadence and give-up horizon while waiting for the
+/// senders' slices of one round (Section 4.4).
+constexpr double kPollIntervalS = 0.05;
+constexpr double kTimeoutS = 600.0;
 
 /// The k-dimensional worker grid of the multi-level exchange.
 struct Grid {
@@ -511,7 +515,7 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
                                          "barrier");
       std::vector<std::pair<int, std::vector<uint64_t>>> senders;
       std::vector<std::string> keys_found;
-      double deadline = sim->Now() + spec.timeout_s;
+      double deadline = sim->Now() + kTimeoutS;
       while (true) {
         auto listing = co_await client.List(bucket, prefix);
         m.registry.Add(obs::Metric::kExchangeListRequests, 1);
@@ -534,7 +538,7 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
           co_return Status::Timeout("exchange: senders missing in phase " +
                                     std::to_string(phase));
         }
-        co_await sim::Sleep(sim, spec.poll_interval_s);
+        co_await sim::Sleep(sim, kPollIntervalS);
       }
       round.wait_s = sim->Now() - t0;
       obs::End(tracer, barrier_span);
@@ -565,7 +569,7 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
         int j = static_cast<int>(i);
         auto idx = co_await client.GetWhenAvailable(
             bucket, prefix + "s" + std::to_string(j) + "-idx",
-            spec.poll_interval_s, spec.timeout_s);
+            kPollIntervalS, kTimeoutS);
         if (!idx.ok()) co_return idx.status();
         m.registry.Add(obs::Metric::kExchangeGetRequests, 1);
         m.registry.Add(obs::Metric::kExchangeBytesRead,
@@ -600,7 +604,7 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
         auto part = co_await client.GetWhenAvailable(
             bucket,
             prefix + "s" + std::to_string(i) + "r" + std::to_string(my_j),
-            spec.poll_interval_s, spec.timeout_s);
+            kPollIntervalS, kTimeoutS);
         if (part.ok()) {
           m.registry.Add(obs::Metric::kExchangeGetRequests, 1);
           if (*part != nullptr) {
@@ -639,9 +643,6 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
                        round.partition_s + round.write_s + round.wait_s +
                            round.read_s);
     m.rounds.push_back(round);
-    env.RecordPhase("exchange-round" + std::to_string(phase),
-                    sim->Now() - round.partition_s - round.write_s -
-                        round.wait_s - round.read_s);
   }
   co_return current;
 }

@@ -224,6 +224,9 @@ sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
     stop = children.size() / 2;  // Die with half the branch started.
   }
 
+  // Named lvalue: no temporary is held across the co_await below (the
+  // GCC 12 rule, core/session_manager.h).
+  const cloud::InvokerProfile profile = env.invoker_profile();
   int invoked = 0;
   for (size_t i = 0; i < children.size(); ++i) {
     if (i >= stop) {
@@ -231,21 +234,11 @@ sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
       co_return invoked;
     }
     std::string serialized = children[i].Serialize();
-    double backoff = 0.05;
-    for (int attempt = 0;; ++attempt) {
-      Status s = co_await env.services().faas->Invoke(
-          env.invoker_profile(), &env.rng(), env.function_name(), serialized,
-          env.attribution);
-      if (s.ok() || !s.IsRetriable() || attempt >= 8) {
-        if (!s.ok()) {
-          LAMBADA_LOG(Warning)
-              << "child invoke failed: " << s.ToString();
-        }
-        break;
-      }
-      co_await sim::Sleep(env.sim(),
-                          backoff * (0.5 + env.rng().NextDouble()));
-      backoff *= 2;
+    Status s = co_await env.services().faas->InvokeWithRetries(
+        profile, &env.rng(), env.function_name(), std::move(serialized),
+        env.attribution);
+    if (!s.ok()) {
+      LAMBADA_LOG(Warning) << "child invoke failed: " << s.ToString();
     }
     ++invoked;
   }

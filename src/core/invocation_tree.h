@@ -77,14 +77,13 @@ Result<std::vector<TreeNode>> TreeChildren(const TreePlan& plan,
 /// Invokes the children this payload is responsible for: the subtree
 /// ranges TreeChildren derives from its tree assignment, each stamped with
 /// the invoker's attempt and carrying its own inputs and its descendants'
-/// (inline, or batched behind the same input table). Retries retriable
-/// Invoke failures with jittered exponential backoff (bounded), logging
-/// and moving on like the historical worker loop. Consumes this node's
-/// invoker-loss fate from the region's fault plan (cloud/fault.h) when one
-/// is installed: on a drawn crash the environment is marked crashed —
-/// possibly after half the children went out — and the caller must
-/// abandon the invocation without reporting a result. Returns the number
-/// of children invoked.
+/// (inline, or batched behind the same input table). Each child goes
+/// through FaasService::InvokeWithRetries; a child that still fails is
+/// logged and skipped. Consumes this node's invoker-loss fate from the
+/// region's fault plan (cloud/fault.h) when one is installed: on a drawn
+/// crash the environment is marked crashed — possibly after half the
+/// children went out — and the caller must abandon the invocation without
+/// reporting a result. Returns the number of children invoked.
 sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
                                            const InvocationPayload& payload);
 

@@ -137,6 +137,10 @@ double EstimateSelectivity(const ExprPtr& predicate,
 
 namespace {
 
+/// Join-order DP bound: up to this many join edges are enumerated exactly;
+/// beyond it a greedy ordering is used.
+constexpr size_t kMaxDpRelations = 6;
+
 // ---------------------------------------------------------------------------
 // Internal bookkeeping
 // ---------------------------------------------------------------------------
@@ -224,11 +228,10 @@ StrategyDecision DecideStrategy(const EdgeInfo& e, const Est& in,
   int workers = std::max(1, opt.workers);
   d.partitioned = models::PartitionedExchangeTraffic(
       in.bytes, e.bytes, workers, e.spec.build_exchange.levels,
-      e.spec.build_exchange.write_combining, opt.traffic);
+      e.spec.build_exchange.write_combining);
   bool broadcast_known = opt.workers > 0 && e.raw_bytes > 0;
   if (broadcast_known) {
-    d.broadcast = models::BroadcastTraffic(e.raw_bytes, e.files, opt.workers,
-                                           opt.traffic);
+    d.broadcast = models::BroadcastTraffic(e.raw_bytes, e.files, opt.workers);
   }
   switch (opt.strategy) {
     case JoinStrategyOverride::kForcePartitioned:
@@ -552,7 +555,7 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
   if (m <= 1) {
     order.assign(m, 0);  // Zero or one join: nothing to order.
   } else if (any_open || !have_stats ||
-             m > static_cast<size_t>(std::max(1, options.max_dp_relations))) {
+             m > kMaxDpRelations) {
     // Greedy (or syntax order when there is nothing to optimize with):
     // repeatedly take the cheapest feasible edge; ties keep syntax order.
     uint64_t mask = 0;
@@ -648,7 +651,6 @@ Result<PhysicalQuery> OptimizeQuery(const Query& query, const Catalog& catalog,
   // -- 5. Assemble the physical fragment ------------------------------------
   PhysicalQuery out;
   out.pattern = lp.relations[0].pattern;
-  out.fragment.tuning = options.tuning;
   for (size_t t = 0; t < residual_at[0].size(); ++t) {
     lp.relations[0].ops.push_back(MakeFilter(residual_at[0][t]));
   }

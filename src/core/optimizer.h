@@ -34,12 +34,12 @@ namespace lambada::core {
 //     residual. Residuals re-enter the pipeline at the earliest join
 //     prefix providing their columns.
 //  2. **Join order.** With per-relation stats, join edges are enumerated
-//     with dynamic programming over edge subsets (left-deep, up to
-//     `max_dp_relations` edges; greedy beyond), minimizing summed modeled
-//     exchange traffic. Feasibility tracks key provenance: an edge whose
-//     probe key is emitted by another build relation must follow that
-//     edge. Exact cost ties preserve the query's syntax order, so the
-//     optimizer is a no-op when it has no information to act on.
+//     with dynamic programming over edge subsets (left-deep, up to six
+//     edges; greedy beyond), minimizing summed modeled exchange traffic.
+//     Feasibility tracks key provenance: an edge whose probe key is
+//     emitted by another build relation must follow that edge. Exact cost
+//     ties preserve the query's syntax order, so the optimizer is a no-op
+//     when it has no information to act on.
 //  3. **Exchange strategy.** Each join independently picks partitioned
 //     (both sides traverse the hash exchange) or broadcast (every worker
 //     reads the whole build relation; no exchange) by comparing modeled
@@ -132,15 +132,10 @@ enum class JoinStrategyOverride : uint8_t {
 };
 
 struct OptimizerOptions {
-  ScanTuning tuning;
   /// Fleet size the query will run with; 0 = unknown (disables the
   /// broadcast alternative, whose cost scales with the worker count).
   int workers = 0;
-  /// Join-order DP bound: up to this many join edges are enumerated
-  /// exactly; beyond it a greedy ordering is used.
-  int max_dp_relations = 6;
   JoinStrategyOverride strategy = JoinStrategyOverride::kAuto;
-  models::ExchangeTrafficParams traffic;
 };
 
 /// Compiles a query into a physical plan (see file comment). Without a

@@ -1,5 +1,7 @@
 #include "core/plan.h"
 
+#include <limits>
+
 namespace lambada::core {
 
 namespace {
@@ -50,8 +52,6 @@ void ExchangeSpec::Serialize(BinaryWriter* w) const {
   w->PutU32(static_cast<uint32_t>(num_buckets));
   w->PutString(bucket_prefix);
   w->PutString(exchange_id);
-  w->PutF64(poll_interval_s);
-  w->PutF64(timeout_s);
 }
 
 Result<ExchangeSpec> ExchangeSpec::Deserialize(BinaryReader* r) {
@@ -65,11 +65,13 @@ Result<ExchangeSpec> ExchangeSpec::Deserialize(BinaryReader* r) {
   ASSIGN_OR_RETURN(uint8_t oin, r->GetU8());
   s.offsets_in_name = oin != 0;
   ASSIGN_OR_RETURN(uint32_t buckets, r->GetU32());
+  if (buckets == 0 ||
+      buckets > static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
+    return Status::IOError("bad exchange bucket count");
+  }
   s.num_buckets = static_cast<int>(buckets);
   ASSIGN_OR_RETURN(s.bucket_prefix, r->GetString());
   ASSIGN_OR_RETURN(s.exchange_id, r->GetString());
-  ASSIGN_OR_RETURN(s.poll_interval_s, r->GetF64());
-  ASSIGN_OR_RETURN(s.timeout_s, r->GetF64());
   return s;
 }
 
@@ -226,39 +228,13 @@ Result<PlanOp> DeserializePlanOpBody(PlanOp::Kind kind, BinaryReader* r,
 
 }  // namespace
 
-void ScanTuning::Serialize(BinaryWriter* w) const {
-  w->PutU32(static_cast<uint32_t>(row_group_parallelism));
-  w->PutU32(static_cast<uint32_t>(column_fetch_parallelism));
-  w->PutU64(static_cast<uint64_t>(chunk_bytes));
-  w->PutU32(static_cast<uint32_t>(connections_per_read));
-  w->PutU8(prefetch_metadata ? 1 : 0);
-  w->PutU64(static_cast<uint64_t>(coalesce_gap_bytes));
-}
-
-Result<ScanTuning> ScanTuning::Deserialize(BinaryReader* r) {
-  ScanTuning t;
-  ASSIGN_OR_RETURN(uint32_t rgp, r->GetU32());
-  t.row_group_parallelism = static_cast<int>(rgp);
-  ASSIGN_OR_RETURN(uint32_t cfp, r->GetU32());
-  t.column_fetch_parallelism = static_cast<int>(cfp);
-  ASSIGN_OR_RETURN(uint64_t cb, r->GetU64());
-  t.chunk_bytes = static_cast<int64_t>(cb);
-  ASSIGN_OR_RETURN(uint32_t conns, r->GetU32());
-  t.connections_per_read = static_cast<int>(conns);
-  ASSIGN_OR_RETURN(uint8_t pf, r->GetU8());
-  t.prefetch_metadata = pf != 0;
-  ASSIGN_OR_RETURN(uint64_t gap, r->GetU64());
-  t.coalesce_gap_bytes = static_cast<int64_t>(gap);
-  return t;
-}
-
 std::vector<uint8_t> PlanFragment::Serialize() const {
   BinaryWriter w;
   PutStringVec(&w, scan_projection);
   PutOptionalExpr(&w, scan_filter);
   w.PutVarint(ops.size());
   for (const auto& op : ops) op.Serialize(&w);
-  tuning.Serialize(&w);
+  w.PutU64(static_cast<uint64_t>(chunk_bytes));
   return w.Take();
 }
 
@@ -274,7 +250,8 @@ Result<PlanFragment> PlanFragment::Deserialize(const uint8_t* data,
     ASSIGN_OR_RETURN(PlanOp op, PlanOp::Deserialize(&r));
     f.ops.push_back(std::move(op));
   }
-  ASSIGN_OR_RETURN(f.tuning, ScanTuning::Deserialize(&r));
+  ASSIGN_OR_RETURN(uint64_t chunk_bytes, r.GetU64());
+  f.chunk_bytes = static_cast<int64_t>(chunk_bytes);
   if (r.remaining() != 0) return Status::IOError("plan trailing bytes");
   return f;
 }

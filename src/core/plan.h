@@ -30,8 +30,10 @@ namespace lambada::core {
 //    one-byte tag, one tag per in-memory kind. Readers bounds-check the
 //    tag and reject unknown values instead of guessing.
 //  * **Parsing is strict.** Readers consume exactly the fields of the
-//    format, bounds-check every count, and `PlanFragment::Deserialize`
-//    rejects trailing bytes, so truncation or overhang is a typed error.
+//    format, bounds-check every count and every value a worker divides or
+//    indexes by (an exchange's bucket count), and
+//    `PlanFragment::Deserialize` rejects trailing bytes, so truncation or
+//    overhang is a typed error.
 //
 // The same rules govern the SQS/Invoke messages in core/messages.h.
 
@@ -63,33 +65,11 @@ struct ExchangeSpec {
   std::string bucket_prefix = "lambada-x";
   /// Unique id of this exchange instance (query id + operator id).
   std::string exchange_id;
-  /// Receiver polling cadence and give-up horizon.
-  double poll_interval_s = 0.05;
-  double timeout_s = 600.0;
 
   void Serialize(BinaryWriter* w) const;
+  /// Rejects a bucket count outside [1, INT32_MAX]: receivers hash group
+  /// ids modulo it.
   static Result<ExchangeSpec> Deserialize(BinaryReader* r);
-};
-
-/// Tuning knobs of the scan operator carried with the plan (Section 4.3.2).
-struct ScanTuning {
-  int row_group_parallelism = 2;
-  int column_fetch_parallelism = 4;
-  /// Request ("chunk") size for splitting large reads. <= 0 means
-  /// adaptive: the driver resolves it from the table's post-encoding
-  /// bytes per worker and the connection count (AdaptiveChunkBytes,
-  /// reproducing the Figure 7 tradeoff) before the plan is uploaded, so
-  /// workers always deserialize a concrete positive value.
-  int64_t chunk_bytes = 0;
-  int connections_per_read = 1;
-  bool prefetch_metadata = true;
-  /// Row-group IO coalescing budget: a projected column chunk shares the
-  /// preceding ranged read when that grows the read by at most this many
-  /// bytes (see format::ReaderOptions). 0 disables.
-  int64_t coalesce_gap_bytes = 1024 * 1024;
-
-  void Serialize(BinaryWriter* w) const;
-  static Result<ScanTuning> Deserialize(BinaryReader* r);
 };
 
 struct PlanOp;
@@ -193,7 +173,11 @@ struct PlanFragment {
   std::vector<std::string> scan_projection;  ///< Empty = all columns.
   engine::ExprPtr scan_filter;               ///< May be null.
   std::vector<PlanOp> ops;
-  ScanTuning tuning;
+  /// Request ("chunk") size the scans split large reads into. The driver
+  /// resolves it from the probe relation's post-encoding bytes per worker
+  /// (AdaptiveChunkBytes, the Figure 7 tradeoff) before the plan is
+  /// uploaded; the other scan settings are constants of engine/scan.
+  int64_t chunk_bytes = 0;
 
   /// True if the terminal operator is an aggregation (workers then emit
   /// partial aggregate state, merged by the driver).

@@ -8,15 +8,12 @@
 namespace lambada::core {
 
 QueryService::QueryService(cloud::Cloud* cloud, ServingOptions options)
-    : cloud_(cloud), options_(std::move(options)) {
-  if (options_.cache_metadata) {
-    meta_cache_ = std::make_unique<cloud::MetadataCache>(
-        &cloud_->ddb(), &cloud_->s3(), options_.meta_table, &metrics_);
-  }
-  if (options_.share_scans) {
-    scan_broker_ = std::make_unique<cloud::SharedScanBroker>(&cloud_->sim(),
-                                                             &metrics_);
-  }
+    : cloud_(cloud),
+      options_(std::move(options)),
+      meta_cache_(std::make_unique<cloud::MetadataCache>(
+          &cloud_->ddb(), &cloud_->s3(), options_.meta_table, &metrics_)),
+      scan_broker_(std::make_unique<cloud::SharedScanBroker>(&cloud_->sim(),
+                                                             &metrics_)) {
   // Workers reach the shared layers host-side, like the tracer and the
   // fault injector: nothing serving-related ever rides in a payload.
   cloud_->faas().set_serving(meta_cache_.get(), scan_broker_.get());

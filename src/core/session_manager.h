@@ -38,11 +38,7 @@ struct TenantOptions {
 struct ServingOptions {
   /// Queries running at once across all tenants.
   int max_concurrent = 16;
-  /// Metadata cache in front of LIST + footer fetches (cloud/meta_cache.h).
-  bool cache_metadata = true;
-  /// Attach concurrent scans of one extent to a single in-flight GET
-  /// (cloud/scan_share.h).
-  bool share_scans = true;
+  /// DynamoDB table of the metadata cache (cloud/meta_cache.h).
   std::string meta_table = "lambada-meta-cache";
   /// Serving deployments get their own function family and result-queue
   /// namespace so a solo Driver next to a QueryService never collides.

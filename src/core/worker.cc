@@ -35,14 +35,8 @@ constexpr size_t kInlineResultLimit = 200 * 1024;
 /// Applies a row-wise op (filter/map/select) to a chunk.
 Result<TableChunk> ApplyRowOp(const PlanOp& op, TableChunk chunk) {
   switch (op.kind) {
-    case PlanOp::Kind::kFilter: {
-      ASSIGN_OR_RETURN(engine::Column mask, op.expr->Evaluate(chunk));
-      std::vector<bool> keep(chunk.num_rows());
-      for (size_t i = 0; i < keep.size(); ++i) {
-        keep[i] = mask.ValueAsInt64(i) != 0;
-      }
-      return chunk.Filter(keep);
-    }
+    case PlanOp::Kind::kFilter:
+      return engine::FilterRows(chunk, *op.expr);
     case PlanOp::Kind::kMap: {
       ASSIGN_OR_RETURN(engine::Column col, op.expr->Evaluate(chunk));
       std::vector<engine::Field> fields = chunk.schema()->fields();
@@ -70,19 +64,14 @@ Result<TableChunk> ApplyRowOp(const PlanOp& op, TableChunk chunk) {
   }
 }
 
-/// Builds the ScanOptions a fragment's tuning prescribes.
-engine::ScanOptions MakeScanOptions(const ScanTuning& tuning,
-                                    std::vector<std::string> projection,
-                                    engine::ExprPtr filter) {
+/// Builds the ScanOptions of one scan pipeline of a fragment.
+engine::ScanOptions MakeScanOptions(std::vector<std::string> projection,
+                                    engine::ExprPtr filter,
+                                    int64_t chunk_bytes) {
   engine::ScanOptions scan_options;
   scan_options.projection = std::move(projection);
   scan_options.filter = std::move(filter);
-  scan_options.row_group_parallelism = tuning.row_group_parallelism;
-  scan_options.column_fetch_parallelism = tuning.column_fetch_parallelism;
-  scan_options.source.chunk_bytes = tuning.chunk_bytes;
-  scan_options.source.connections = tuning.connections_per_read;
-  scan_options.prefetch_metadata = tuning.prefetch_metadata;
-  scan_options.coalesce_gap_bytes = tuning.coalesce_gap_bytes;
+  scan_options.source.chunk_bytes = chunk_bytes;
   return scan_options;
 }
 
@@ -115,11 +104,10 @@ sim::Async<Result<TableChunk>> RunScanPipeline(
     collected.push_back(std::move(current));
     return Status::OK();
   };
-  const double scan_start = env.sim()->Now();
   Result<engine::ScanStats> scan_stats = Status::Internal("scan not run");
   {
-    // The span covers exactly the recorded phase; the per-row-group child
-    // spans created inside S3ParquetScan parent under it.
+    // The per-row-group child spans created inside S3ParquetScan parent
+    // under this span.
     cloud::EnvSpan span(&env, "scan", phase_label);
     scan_stats =
         co_await engine::S3ParquetScan(env, files, scan_options, sink);
@@ -129,7 +117,6 @@ sim::Async<Result<TableChunk>> RunScanPipeline(
       env.tracer()->AddArg(span.id(), "bytes", scan_stats->bytes_moved());
     }
   }
-  env.RecordPhase(phase_label, scan_start);
   metrics->registry.Merge(scan_stats->registry);
   const double rows = static_cast<double>(scan_stats->rows_emitted());
   double cpu = rows * kRowOpCpuPerRow * static_cast<double>(n_ops);
@@ -231,8 +218,8 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
   }
   auto probe_local = co_await RunScanPipeline(
       env, payload.self.files,
-      MakeScanOptions(fragment.tuning, fragment.scan_projection,
-                      fragment.scan_filter),
+      MakeScanOptions(fragment.scan_projection, fragment.scan_filter,
+                      fragment.chunk_bytes),
       fragment.ops, first_break, scan_agg ? &*scan_agg : nullptr, "scan",
       metrics);
   if (!probe_local.ok() || scan_agg) co_return std::move(probe_local);
@@ -251,12 +238,10 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
           pending_exchange = &op;
           break;
         }
-        double t0 = env.sim()->Now();
         auto exchanged = co_await run_exchange(*op.exchange,
                                                std::move(current));
         if (!exchanged.ok()) co_return exchanged.status();
         current = *std::move(exchanged);
-        env.RecordPhase("exchange", t0);
         break;
       }
       case PlanOp::Kind::kJoin: {
@@ -280,31 +265,26 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
         // ---- Build side. ----
         auto build_local = co_await RunScanPipeline(
             env, build_files[ordinal],
-            MakeScanOptions(fragment.tuning, join.build_scan_projection,
-                            join.build_scan_filter),
+            MakeScanOptions(join.build_scan_projection,
+                            join.build_scan_filter, fragment.chunk_bytes),
             join.build_ops, join.build_ops.size(), nullptr, "scan-build",
             metrics);
         if (!build_local.ok()) co_return build_local.status();
         TableChunk build_chunk = *std::move(build_local);
         if (partitioned) {
-          double t0 = env.sim()->Now();
           auto build_side = co_await run_exchange(join.build_exchange,
                                                   std::move(build_chunk));
           if (!build_side.ok()) co_return build_side.status();
           build_chunk = *std::move(build_side);
-          env.RecordPhase("exchange-build", t0);
 
-          double t1 = env.sim()->Now();
           auto probe_side = co_await run_exchange(
               *pending_exchange->exchange, std::move(current));
           if (!probe_side.ok()) co_return probe_side.status();
           current = *std::move(probe_side);
-          env.RecordPhase("exchange-probe", t1);
         }
         pending_exchange = nullptr;
 
         // ---- Join the pair. ----
-        double t0 = env.sim()->Now();
         uint64_t join_span = obs::Begin(env.tracer(), env.trace_span(),
                                         "join", "join");
         if (join_span != 0) {
@@ -354,7 +334,6 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
                                static_cast<int64_t>(current.num_rows()));
           env.tracer()->EndSpan(join_span);
         }
-        env.RecordPhase("join", t0);
         build_chunk = TableChunk();
         break;
       }
@@ -468,7 +447,6 @@ sim::Async<Status> WorkerMain(cloud::WorkerEnv& env, std::string raw) {
       payload.tree.subtree_end > payload.self.worker_id + 1;
   if (has_children) {
     cloud::EnvSpan invoke_span(&env, "worker", "invoke-children");
-    double t0 = env.sim()->Now();
     auto invoked = co_await InvokeTreeChildren(env, payload);
     if (!invoked.ok()) {
       LAMBADA_LOG(Warning) << "child invocation failed: "
@@ -477,7 +455,6 @@ sim::Async<Status> WorkerMain(cloud::WorkerEnv& env, std::string raw) {
     if (env.crashed()) {
       co_return Status::Cancelled("injected invoker crash (fault plan)");
     }
-    env.RecordPhase("invoke-children", t0);
   }
 
   ResultMessage result;

@@ -177,6 +177,15 @@ Result<Column> Expr::Evaluate(const TableChunk& chunk) const {
   return Status::Internal("unreachable expression kind");
 }
 
+Result<TableChunk> FilterRows(const TableChunk& chunk, const Expr& predicate) {
+  ASSIGN_OR_RETURN(Column mask, predicate.Evaluate(chunk));
+  std::vector<bool> keep(chunk.num_rows());
+  for (size_t i = 0; i < keep.size(); ++i) {
+    keep[i] = mask.ValueAsInt64(i) != 0;
+  }
+  return chunk.Filter(keep);
+}
+
 void Expr::CollectColumns(std::set<std::string>* out) const {
   switch (kind_) {
     case Kind::kColumn:

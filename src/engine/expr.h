@@ -134,6 +134,11 @@ inline ExprPtr operator||(ExprPtr a, ExprPtr b) {
   return Expr::Binary(BinaryOp::kOr, std::move(a), std::move(b));
 }
 
+/// The rows of `chunk` for which `predicate` evaluates non-zero: the one
+/// filter kernel behind the scan's residual filter, plan-level filter ops
+/// and driver-side HAVING.
+Result<TableChunk> FilterRows(const TableChunk& chunk, const Expr& predicate);
+
 // -- Predicate analysis for row-group pruning --------------------------------
 
 /// A closed interval in double space; defaults to (-inf, +inf).

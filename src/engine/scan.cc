@@ -10,6 +10,15 @@ namespace {
 using format::FileReader;
 using format::S3Source;
 
+/// Row groups of one file downloaded at once (concurrency level 3).
+constexpr int kRowGroupParallelism = 2;
+/// Extents of one row group fetched at once (level 2).
+constexpr int kColumnFetchParallelism = 4;
+/// Row-group IO coalescing budget in MODELED bytes: a projected column
+/// chunk shares the preceding ranged read when that grows it by at most
+/// this much (format::ReaderOptions::coalesce_gap_bytes).
+constexpr int64_t kCoalesceGapBytes = 1024 * 1024;
+
 /// Per-file state shared between the metadata prefetcher and the scan loop.
 struct FileState {
   FileRef ref;
@@ -88,7 +97,7 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
   }
 
   cloud::WorkerEnv* env_ptr = &env;
-  auto reader_options_for = [env_ptr, sim, &options](const FileState& st) {
+  auto reader_options_for = [env_ptr, sim](const FileState& st) {
     format::ReaderOptions ro;
     ro.sim = sim;
     ro.cpu.compute = [env_ptr](double vcpu) { return env_ptr->Compute(vcpu); };
@@ -100,30 +109,25 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
     // 100 KB real gap on a x250-scaled file would buy one request with a
     // ~25 MB virtual transfer.
     ro.coalesce_gap_bytes = static_cast<int64_t>(
-        static_cast<double>(options.coalesce_gap_bytes) /
-        std::max(1.0, st.scale));
+        static_cast<double>(kCoalesceGapBytes) / std::max(1.0, st.scale));
     ro.tracer = env_ptr->tracer();
     return ro;
   };
 
+  // Level (4): a dedicated thread downloads the metadata for all files
+  // that should be scanned, hiding the latency of these small requests.
   // The prefetcher references the worker env (CPU, NIC); the scan must
   // not return — even on error — while it is still running.
   auto prefetch_done = std::make_shared<sim::Event>(sim);
-  if (options.prefetch_metadata) {
-    // Level (4): a dedicated thread downloads the metadata for all files
-    // that should be scanned, hiding the latency of these small requests.
-    sim::Spawn([](std::shared_ptr<std::vector<FileState>> sts,
-                  std::shared_ptr<sim::Event> done,
-                  std::function<format::ReaderOptions(const FileState&)>
-                      make_opts) -> sim::Async<void> {
-      for (auto& st : *sts) {
-        co_await OpenReader(&st, make_opts(st));
-      }
-      done->Set();
-    }(states, prefetch_done, reader_options_for));
-  } else {
-    prefetch_done->Set();
-  }
+  sim::Spawn([](std::shared_ptr<std::vector<FileState>> sts,
+                std::shared_ptr<sim::Event> done,
+                std::function<format::ReaderOptions(const FileState&)>
+                    make_opts) -> sim::Async<void> {
+    for (auto& st : *sts) {
+      co_await OpenReader(&st, make_opts(st));
+    }
+    done->Set();
+  }(states, prefetch_done, reader_options_for));
 
   auto bounds = ExtractColumnBounds(options.filter);
   Status scan_error = Status::OK();
@@ -134,11 +138,7 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
 
   for (auto& st : *states) {
     stats.registry.Add(obs::Metric::kScanFiles, 1);
-    if (options.prefetch_metadata) {
-      co_await st.ready->Wait();
-    } else {
-      co_await OpenReader(&st, reader_options_for(st));
-    }
+    co_await st.ready->Wait();
     if (!st.reader.ok()) {
       scan_error = st.reader.status();
       break;
@@ -167,10 +167,9 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
 
     // Push the filter's per-column value intervals into the reader (keyed
     // by file-schema column index): dict-encoded chunks evaluate them on
-    // dictionary codes before materialization. Only when the residual
-    // filter runs — raw row-group readers must see every row.
+    // dictionary codes before materialization.
     std::map<int, format::ColumnBound> dict_bounds;
-    if (options.filter != nullptr && options.apply_residual_filter) {
+    if (options.filter != nullptr) {
       for (const auto& [column, interval] : bounds) {
         int idx = file_schema.FieldIndex(column);
         if (idx >= 0) {
@@ -192,10 +191,10 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
       }
     }
 
-    // Level (3): download up to row_group_parallelism row groups
+    // Level (3): download up to kRowGroupParallelism row groups
     // asynchronously, overlapping download with decompression and the
     // downstream pipeline.
-    sim::Semaphore gate(sim, std::max(1, options.row_group_parallelism));
+    sim::Semaphore gate(sim, kRowGroupParallelism);
     Status sink_status = Status::OK();
     // Completed chunks park here until every lower-indexed row group has
     // been emitted: the sink runs synchronously (zero virtual time), so
@@ -232,7 +231,7 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
         // Level (2): column chunks of this group fetched concurrently
         // (coalesced into extents), with dict-code predicate push-down.
         auto chunk = co_await rdr->ReadRowGroup(
-            rg_idx, proj_cols, opts->column_fetch_parallelism, bnds, rg_span);
+            rg_idx, proj_cols, kColumnFetchParallelism, bnds, rg_span);
         if (!chunk.ok()) {
           if (sink_st->ok()) *sink_st = chunk.status();
           obs::End(tracer, rg_span);
@@ -253,25 +252,21 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
                          static_cast<int64_t>(chunk->num_rows()));
         }
         TableChunk result = *std::move(chunk);
-        if (opts->filter != nullptr && opts->apply_residual_filter) {
+        if (opts->filter != nullptr) {
           // Residual predicate on the decoded rows; charged as pipeline
           // CPU work (the JIT-compiled tight loop of the paper).
           co_await e->Compute(static_cast<double>(result.num_rows()) *
                               kFilterCpuSecondsPerRow * scale);
-          auto mask_col = opts->filter->Evaluate(result);
-          if (!mask_col.ok()) {
-            if (sink_st->ok()) *sink_st = mask_col.status();
+          auto filtered = FilterRows(result, *opts->filter);
+          if (!filtered.ok()) {
+            if (sink_st->ok()) *sink_st = filtered.status();
             e->ReleaseMemory(result.memory_bytes());
             obs::End(tracer, rg_span);
             g->Release();
             co_return;
           }
-          std::vector<bool> keep(result.num_rows());
-          for (size_t i = 0; i < keep.size(); ++i) {
-            keep[i] = mask_col->ValueAsInt64(i) != 0;
-          }
           int64_t before = result.memory_bytes();
-          result = result.Filter(keep);
+          result = *std::move(filtered);
           e->ReleaseMemory(before - result.memory_bytes());
         }
         (*pend)[my_slot] = std::move(result);

@@ -22,30 +22,21 @@ struct FileRef {
   std::string key;
 };
 
-/// Configuration of the S3 scan operator (Section 4.3.2), exposing the
-/// four levels of download concurrency:
+/// Configuration of the S3 scan operator (Section 4.3.2). The scan runs
+/// the paper's four levels of download concurrency:
 ///   (1) chunked requests within one read      -> source.chunk_bytes/conns
-///   (2) concurrent column chunks of one group -> column_fetch_parallelism
-///   (3) concurrent row groups                 -> row_group_parallelism
-///   (4) metadata of all files ahead of data   -> prefetch_metadata
+///   (2) concurrent column chunks of one group -> kColumnFetchParallelism
+///   (3) concurrent row groups                 -> kRowGroupParallelism
+///   (4) metadata of all files ahead of data   -> always prefetched
+/// Only the request size varies per query; levels (2)-(4) and the
+/// row-group IO coalescing budget are constants of scan.cc.
 struct ScanOptions {
   /// Columns to materialize (projection push-down). Empty = all.
   std::vector<std::string> projection;
-  /// Predicate for min/max row-group pruning AND residual evaluation.
-  /// Null = scan everything.
+  /// Predicate for min/max row-group pruning, dictionary-code filtering
+  /// AND residual evaluation. Null = scan everything.
   ExprPtr filter;
-  /// Apply the residual filter to scanned rows (true in queries; false
-  /// when the caller wants raw row groups).
-  bool apply_residual_filter = true;
-  int row_group_parallelism = 2;
-  int column_fetch_parallelism = 4;
   format::S3Source::Options source;
-  bool prefetch_metadata = true;
-  /// Row-group IO coalescing budget forwarded to the reader (scaled down
-  /// for virtually-scaled objects): a projected column chunk shares the
-  /// preceding ranged read when that grows it by at most this many bytes
-  /// (format::ReaderOptions::coalesce_gap_bytes). 0 disables.
-  int64_t coalesce_gap_bytes = 1024 * 1024;
 };
 
 /// Metrics reported by one scan execution, kept in the shared registry

@@ -16,6 +16,10 @@ using engine::TableChunk;
 
 namespace {
 
+/// Tail bytes fetched speculatively to bootstrap the footer; one request
+/// suffices when the footer fits (it nearly always does).
+constexpr int64_t kFooterProbeBytes = 64 * 1024;
+
 /// Maps a closed value interval [lo, hi] (doubles, possibly infinite) to
 /// the closed integer interval [*lo_i, *hi_i] it admits. Returns false if
 /// no int64 can qualify. Exact: the double->int64 edges are computed with
@@ -40,7 +44,7 @@ sim::Async<Result<std::shared_ptr<FileReader>>> FileReader::Open(
     std::shared_ptr<RandomAccessSource> source, ReaderOptions options) {
   // One tail read bootstraps the footer (Section 4.3.2: "The library loads
   // this metadata with a single file read").
-  auto tail = co_await source->ReadTail(options.footer_probe_bytes);
+  auto tail = co_await source->ReadTail(kFooterProbeBytes);
   if (!tail.ok()) co_return tail.status();
   const BufferPtr& probe = tail->data;
   int64_t fetched = static_cast<int64_t>(probe->size());

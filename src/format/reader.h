@@ -36,9 +36,6 @@ struct ComputeHook {
 };
 
 struct ReaderOptions {
-  /// Tail bytes fetched speculatively to bootstrap the footer; one request
-  /// suffices when the footer fits (it nearly always does).
-  int64_t footer_probe_bytes = 64 * 1024;
   ComputeHook cpu;
   /// Required for concurrent column-chunk fetches; when null, fetches are
   /// sequential (host-side tools).

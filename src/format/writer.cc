@@ -78,9 +78,7 @@ Status FileWriter::FlushRowGroup(const TableChunk& group) {
         built[c].encoding = encoded.encoding;
         built[c].uncompressed_size = encoded.bytes.size();
         built[c].compressed = codec.Compress(encoded.bytes);
-        if (options_.write_stats) {
-          built[c].stats = ColumnStats::Compute(col);
-        }
+        built[c].stats = ColumnStats::Compute(col);
       });
   for (size_t c = 0; c < group.num_columns(); ++c) {
     RETURN_NOT_OK(built[c].status);
@@ -90,9 +88,7 @@ Status FileWriter::FlushRowGroup(const TableChunk& group) {
     cc.uncompressed_size = built[c].uncompressed_size;
     cc.encoding = built[c].encoding;
     cc.codec = options_.codec;
-    if (options_.write_stats) {
-      cc.stats = built[c].stats;
-    }
+    cc.stats = built[c].stats;
     file_.insert(file_.end(), built[c].compressed.begin(),
                  built[c].compressed.end());
     std::vector<uint8_t>().swap(built[c].compressed);

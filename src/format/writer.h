@@ -14,7 +14,8 @@
 namespace lambada::format {
 
 /// Options controlling file layout. The defaults mirror the paper's setup:
-/// heavy (GZIP-class) compression and statistics enabled.
+/// heavy (GZIP-class) compression. Every column chunk carries min/max
+/// statistics (they enable row-group pruning).
 struct WriterOptions {
   /// Rows per row group. The paper's 500 MB files have a handful of row
   /// groups each; experiments configure this to match that shape.
@@ -22,8 +23,6 @@ struct WriterOptions {
   compress::CodecId codec = compress::CodecId::kHeavy;
   /// Choose the smallest value encoding per column chunk; plain otherwise.
   bool auto_encoding = true;
-  /// Write min/max statistics (enables row-group pruning).
-  bool write_stats = true;
   /// Execution context for the encode+compress kernels: a row group's
   /// column chunks are independent, so they encode and compress in
   /// parallel and assemble in column order — file bytes are identical for

@@ -180,54 +180,6 @@ TEST(ObjectStoreTest, GetWhenAvailableTimesOut) {
   EXPECT_EQ(s.code(), StatusCode::kTimeout);
 }
 
-TEST(ObjectStoreTest, BatchedVerbsRoundTripInSlotOrder) {
-  // The batched entry points (depth-bounded fan-out via
-  // exec::RequestBatcher) must return results in request-slot order
-  // whatever the depth, and a polling batch must ride out late writers.
-  Cloud cloud;
-  ASSERT_TRUE(cloud.s3().CreateBucket("b").ok());
-  std::vector<Status> put_statuses;
-  std::vector<std::string> got;
-  std::vector<std::string> polled;
-  RunOnCloud(cloud, [&](Cloud* c) -> Async<void> {
-    S3Client client(&c->s3(), c->driver_net());
-    std::vector<S3Client::PutRequest> puts;
-    for (int i = 0; i < 8; ++i) {
-      puts.push_back({"b", "k" + std::to_string(i),
-                      Buffer::FromString("v" + std::to_string(i))});
-    }
-    put_statuses = co_await client.BatchPut(std::move(puts), /*depth=*/3);
-    std::vector<S3Client::RangeRequest> gets;
-    for (int i = 0; i < 8; ++i) {
-      gets.push_back({"b", "k" + std::to_string(i)});
-    }
-    auto results = co_await client.BatchGet(std::move(gets), /*depth=*/3);
-    for (auto& r : results) {
-      got.push_back(r.ok() ? (*r)->ToString() : "ERR");
-    }
-    // A writer that publishes one key late: the polling batch must wait.
-    Spawn([](Cloud* cl) -> Async<void> {
-      co_await sim::Sleep(&cl->sim(), 1.0);
-      co_await cl->s3().Put(cl->driver_net(), "b", "late",
-                            Buffer::FromString("vlate"));
-    }(c));
-    std::vector<S3Client::KeyRequest> keys;
-    for (int i = 0; i < 3; ++i) keys.push_back({"b", "k" + std::to_string(i)});
-    keys.push_back({"b", "late"});
-    auto waited =
-        co_await client.BatchGetWhenAvailable(std::move(keys), 0.1, 10.0,
-                                              /*depth=*/2);
-    for (auto& r : waited) {
-      polled.push_back(r.ok() ? (*r)->ToString() : "ERR");
-    }
-  });
-  for (const auto& s : put_statuses) EXPECT_TRUE(s.ok());
-  ASSERT_EQ(got.size(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_EQ(got[i], "v" + std::to_string(i));
-  EXPECT_EQ(polled, (std::vector<std::string>{"v0", "v1", "v2", "vlate"}));
-  EXPECT_GE(cloud.sim().Now(), 1.0);
-}
-
 TEST(ObjectStoreTest, ListReturnsPrefixedKeysSorted) {
   Cloud cloud;
   ASSERT_TRUE(cloud.s3().CreateBucket("b").ok());

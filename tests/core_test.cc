@@ -60,9 +60,7 @@ TEST(PlanTest, FragmentSerializationRoundTrip) {
   agg.group_by = {"a"};
   agg.aggs = {engine::Sum(Col("ab"), "s"), engine::Count("n")};
   f.ops.push_back(agg);
-  f.tuning.row_group_parallelism = 3;
-  f.tuning.chunk_bytes = 123456;
-  f.tuning.coalesce_gap_bytes = 65536;
+  f.chunk_bytes = 123456;
 
   auto bytes = f.Serialize();
   auto back = PlanFragment::Deserialize(bytes.data(), bytes.size());
@@ -72,9 +70,7 @@ TEST(PlanTest, FragmentSerializationRoundTrip) {
   ASSERT_EQ(back->ops.size(), 4u);
   EXPECT_EQ(back->ops[2].exchange->keys, spec.keys);
   EXPECT_EQ(back->ops[3].aggs.size(), 2u);
-  EXPECT_EQ(back->tuning.row_group_parallelism, 3);
-  EXPECT_EQ(back->tuning.chunk_bytes, 123456);
-  EXPECT_EQ(back->tuning.coalesce_gap_bytes, 65536);
+  EXPECT_EQ(back->chunk_bytes, 123456);
   EXPECT_TRUE(back->EndsInAggregate());
 }
 
@@ -194,6 +190,27 @@ TEST(PlanTest, UnknownOpKindRejected) {
   // filter byte, and the op-count varint (1).
   bytes[3] = 0x7f;
   EXPECT_FALSE(PlanFragment::Deserialize(bytes.data(), bytes.size()).ok());
+}
+
+TEST(PlanTest, ExchangeBucketCountOutOfRangeRejected) {
+  // Receivers pick a bucket as hash % num_buckets, and every worker runs
+  // in one process: a plan from S3 with zero buckets, or with a count
+  // above INT32_MAX on the u32 wire (here 0xffffffff), must fail to parse
+  // instead of dividing by zero.
+  for (int buckets : {0, -1}) {
+    PlanOp ex;
+    ex.kind = PlanOp::Kind::kExchange;
+    ex.exchange = ExchangeSpec();
+    ex.exchange->keys = {"a"};
+    ex.exchange->num_buckets = buckets;
+    PlanFragment f;
+    f.ops.push_back(ex);
+    auto bytes = f.Serialize();
+    auto back = PlanFragment::Deserialize(bytes.data(), bytes.size());
+    ASSERT_FALSE(back.ok()) << "num_buckets " << buckets;
+    EXPECT_NE(back.status().message().find("bucket count"), std::string::npos)
+        << back.status().ToString();
+  }
 }
 
 TEST(PlanTest, CorruptFragmentRejected) {
