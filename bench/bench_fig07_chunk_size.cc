@@ -118,16 +118,17 @@ LpqScanResult ScanLineitem(cloud::Cloud& cloud, const std::string& prefix,
       files.push_back(engine::FileRef{"tpch", name});
     }
     double t0 = env.sim()->Now();
-    auto stats = co_await engine::S3ParquetScan(
+    auto scan = co_await engine::S3ParquetScan(
         env, files, opts, [](const engine::TableChunk&) {
           return Status::OK();
         });
-    LAMBADA_CHECK(stats.ok()) << stats.status().ToString();
+    LAMBADA_CHECK(scan.ok()) << scan.status().ToString();
     result->seconds = env.sim()->Now() - t0;
-    result->gets = stats->get_requests();
-    result->bytes_moved = stats->bytes_moved();
-    result->rows_emitted = stats->rows_emitted();
-    result->rows_dict_filtered = stats->rows_dict_filtered();
+    using obs::Metric;
+    result->gets = scan->counter(Metric::kScanGetRequests);
+    result->bytes_moved = scan->counter(Metric::kScanBytesMoved);
+    result->rows_emitted = scan->counter(Metric::kRowsEmitted);
+    result->rows_dict_filtered = scan->counter(Metric::kRowsDictFiltered);
     co_return Status::OK();
   };
   LAMBADA_CHECK_OK(cloud.faas().CreateFunction(fn));

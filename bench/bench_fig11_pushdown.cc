@@ -27,14 +27,16 @@ Distribution RunQuery(core::Driver& driver, const core::Query& q) {
   opts.files_per_worker = 1;
   auto report = driver.RunToCompletion(q, opts);
   LAMBADA_CHECK(report.ok()) << report.status().ToString();
+  using obs::Metric;
   Distribution d;
   for (const auto& wr : report->worker_results) {
-    d.processing_s.push_back(wr.metrics.processing_time_s());
-    d.pruned += wr.metrics.row_groups_pruned();
-    d.total += wr.metrics.row_groups_total();
-    d.bytes_moved += wr.metrics.scan_bytes_moved();
-    d.rows_dict_filtered += wr.metrics.rows_dict_filtered();
+    d.processing_s.push_back(wr.metrics.gauge(Metric::kProcessingTime));
   }
+  const obs::MetricsRegistry& fleet = report->fleet_metrics;
+  d.pruned = fleet.counter(Metric::kRowGroupsPruned);
+  d.total = fleet.counter(Metric::kRowGroupsTotal);
+  d.bytes_moved = fleet.counter(Metric::kScanBytesMoved);
+  d.rows_dict_filtered = fleet.counter(Metric::kRowsDictFiltered);
   std::sort(d.processing_s.begin(), d.processing_s.end());
   return d;
 }

@@ -79,11 +79,10 @@ JoinRun RunQuery(int query, int workers, int64_t orders_rows) {
   JoinRun out;
   out.time_s = report->latency_s;
   out.cost_usd = report->CostUsd(cloud.pricing());
-  for (const auto& wr : report->worker_results) {
-    out.exchange_puts += wr.metrics.exchange_put_requests();
-    out.exchange_gets += wr.metrics.exchange_get_requests();
-    out.rows_joined += wr.metrics.rows_joined();
-  }
+  const obs::MetricsRegistry& fleet = report->fleet_metrics;
+  out.exchange_puts = fleet.counter(obs::Metric::kExchangePutRequests);
+  out.exchange_gets = fleet.counter(obs::Metric::kExchangeGetRequests);
+  out.rows_joined = fleet.counter(obs::Metric::kRowsJoined);
   return out;
 }
 
@@ -134,9 +133,8 @@ AblationRun RunQ3(core::JoinStrategyOverride strategy, int workers,
   out.time_s = report->latency_s;
   out.cost_usd = report->CostUsd(cloud.pricing());
   out.result_rows = report->result.num_rows();
-  for (const auto& wr : report->worker_results) {
-    out.exchange_puts += wr.metrics.exchange_put_requests();
-  }
+  out.exchange_puts =
+      report->fleet_metrics.counter(obs::Metric::kExchangePutRequests);
   for (const auto& c : report->join_choices) {
     out.modeled_usd += c.broadcast ? c.broadcast_usd : c.partitioned_usd;
     if (c.broadcast) ++out.broadcast_joins;

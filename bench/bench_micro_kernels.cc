@@ -8,7 +8,6 @@
 #include <cstring>
 
 #include "common/rng.h"
-#include "compress/block_codec.h"
 #include "compress/codec.h"
 #include "engine/aggregate.h"
 #include "engine/chunk_serde.h"
@@ -216,34 +215,6 @@ void BM_ChunkSerdeParallel(benchmark::State& state) {
                           chunk.memory_bytes());
 }
 BENCHMARK(BM_ChunkSerdeParallel)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_BlockCompressParallel(benchmark::State& state) {
-  auto input = ColumnarBytes(1 << 21);
-  exec::ExecContext ctx = BenchCtx(state);
-  const auto& codec = compress::GetCodec(compress::CodecId::kLz);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(compress::CompressBlocks(codec, input, ctx));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          input.size());
-}
-BENCHMARK(BM_BlockCompressParallel)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_BlockDecompressParallel(benchmark::State& state) {
-  auto input = ColumnarBytes(1 << 21);
-  exec::ExecContext ctx = BenchCtx(state);
-  const auto& codec = compress::GetCodec(compress::CodecId::kHeavy);
-  auto frame = compress::CompressBlocks(codec, input);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(
-        compress::DecompressBlocks(codec, frame.data(), frame.size(), ctx));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          input.size());
-}
-BENCHMARK(BM_BlockDecompressParallel)
     ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 void BM_FileWriteParallel(benchmark::State& state) {

@@ -47,7 +47,7 @@ class Cloud {
         driver_invoke_bucket_(region_.remote_client_rate_per_s,
                               region_.remote_client_rate_per_s / 4),
         driver_rng_(config.seed),
-        fault_(&sim_, config.fault) {
+        fault_(config.fault) {
     s3_.set_fault_injector(&fault_);
     faas_.set_fault_injector(&fault_);
   }

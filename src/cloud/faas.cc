@@ -162,7 +162,6 @@ sim::Async<Status> FaasService::Invoke(InvokerProfile profile,
   }
 
   ++active_;
-  ++total_invocations_;
   ledger_->AddInvocation();
   if (attribution != nullptr) attribution->AddInvocation();
   // Warm container available?
@@ -252,7 +251,7 @@ sim::Async<void> FaasService::RunWorker(Function* fn, std::string payload,
   // Hedge losers may still be in flight against this environment's NIC
   // and RNG (detached request coroutines); let them drain before the
   // environment dies. Billing was measured above, at handler end.
-  while (env->request_stats().inflight_requests > 0) {
+  while (env->inflight_requests() > 0) {
     co_await sim::Sleep(sim_, 0.001);
   }
 

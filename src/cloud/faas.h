@@ -19,6 +19,7 @@
 #include "common/rng.h"
 #include "common/status.h"
 #include "exec/exec_context.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/async.h"
 #include "sim/resources.h"
@@ -102,8 +103,9 @@ class WorkerEnv {
   /// Network context for service calls made by this worker. `data_scale`
   /// multiplies modeled byte counts (see DESIGN.md virtual scaling).
   NetContext net() {
-    return NetContext{&nic_,   &rng_,   data_scale, &request_stats_,
-                      &hedge_, tracer_, trace_span_, attribution};
+    return NetContext{&nic_, &rng_, data_scale, &registry_,
+                      &inflight_requests_, &hedge_, tracer_, trace_span_,
+                      attribution};
   }
 
   // -- Tracing ---------------------------------------------------------------
@@ -148,8 +150,9 @@ class WorkerEnv {
   FaultInjector* fault_injector() const { return fault_injector_; }
   void set_fault_injector(FaultInjector* fault) { fault_injector_ = fault; }
 
-  /// Request telemetry accumulated by this worker's service clients.
-  RequestStats& request_stats() { return request_stats_; }
+  /// Detached request coroutines (hedge losers) still in flight against
+  /// this environment's NIC and RNG.
+  int inflight_requests() const { return inflight_requests_; }
   /// Hedging policy handed to service clients via net(); the handler
   /// enables it from the invocation payload.
   HedgeConfig& hedge_config() { return hedge_; }
@@ -171,6 +174,10 @@ class WorkerEnv {
   // -- Metrics ---------------------------------------------------------------
 
   WorkerMetrics& metrics() { return metrics_; }
+  /// This attempt's telemetry: the scan, exchange and join counters, the
+  /// processing time, and the request counters of every S3 client minted
+  /// via net(). The result message ships a copy (Section 3.3).
+  obs::MetricsRegistry& registry() { return registry_; }
 
   /// Scale factor applied to modeled data sizes and compute work.
   double data_scale = 1.0;
@@ -207,7 +214,8 @@ class WorkerEnv {
   sim::SharedLink nic_;
   int64_t memory_used_ = 0;
   WorkerMetrics metrics_;
-  RequestStats request_stats_;
+  obs::MetricsRegistry registry_;
+  int inflight_requests_ = 0;
   HedgeConfig hedge_;
   obs::Tracer* tracer_ = nullptr;
   uint64_t trace_span_ = 0;
@@ -311,9 +319,6 @@ class FaasService {
                                        std::string payload,
                                        CostLedger* attribution);
 
-  int active_executions() const { return active_; }
-  int64_t total_invocations() const { return total_invocations_; }
-
   /// Timing records of completed invocations, in completion order.
   const std::vector<WorkerMetrics>& completed_metrics() const {
     return completed_metrics_;
@@ -362,7 +367,6 @@ class FaasService {
   sim::TokenBucket api_rate_;
   std::map<std::string, Function> functions_;
   int active_ = 0;
-  int64_t total_invocations_ = 0;
   int64_t failed_handlers_ = 0;
   uint64_t next_worker_seed_ = 0x1a3bada0;
   std::vector<WorkerMetrics> completed_metrics_;

@@ -4,14 +4,6 @@
 
 namespace lambada::cloud {
 
-void FaultInjector::Notify(FaultEvent::Kind kind, CrashSite site) {
-  FaultEvent e;
-  e.kind = kind;
-  e.time = sim_->Now();
-  e.crash_site = site;
-  for (const auto& obs : observers_) obs(e);
-}
-
 Status FaultInjector::InjectRequestFault(FaultOp op) {
   if (!plan_.enabled) return Status::OK();
   // One draw per request, segmented: [0, slowdown) -> SlowDown,
@@ -26,25 +18,21 @@ Status FaultInjector::InjectRequestFault(FaultOp op) {
                                     : plan_.s3_put_error_rate;
       if (u < plan_.s3_slowdown_rate) {
         ++injected_request_faults_;
-        Notify(FaultEvent::Kind::kS3SlowDown);
         return Status::ResourceExhausted(
             "SlowDown: injected throttle (fault plan)");
       }
       if (u < plan_.s3_slowdown_rate + error_rate) {
         ++injected_request_faults_;
-        const bool get = op == FaultOp::kS3Get;
-        Notify(get ? FaultEvent::Kind::kS3GetError
-                   : FaultEvent::Kind::kS3PutError);
         return Status::Unavailable(
             std::string("InternalError: injected S3 ") +
-            (get ? "GET" : "PUT") + " failure (fault plan)");
+            (op == FaultOp::kS3Get ? "GET" : "PUT") +
+            " failure (fault plan)");
       }
       return Status::OK();
     }
     case FaultOp::kInvoke:
       if (u < plan_.invoke_error_rate) {
         ++injected_request_faults_;
-        Notify(FaultEvent::Kind::kInvokeError);
         return Status::Unavailable(
             "ServiceException: injected invoke failure (fault plan)");
       }
@@ -75,13 +63,11 @@ WorkerFate FaultInjector::DrawWorkerFate() {
       fate.crash_site = CrashSite::kAfterExchangeWrites;
     }
     ++crashes_armed_;
-    Notify(FaultEvent::Kind::kWorkerCrashArmed, fate.crash_site);
   }
   if (plan_.straggler_rate > 0 && u2 < plan_.straggler_rate) {
     fate.cpu_factor = plan_.straggler_cpu_factor;
     fate.net_factor = plan_.straggler_net_factor;
     ++stragglers_armed_;
-    Notify(FaultEvent::Kind::kStragglerArmed);
   }
   return fate;
 }
@@ -106,7 +92,6 @@ CrashSite FaultInjector::DrawInvokerFate(int generation) {
                              ? CrashSite::kBeforeInvokingChildren
                              : CrashSite::kWhileInvokingChildren;
   ++invoker_crashes_armed_;
-  Notify(FaultEvent::Kind::kInvokerCrashArmed, site);
   return site;
 }
 

@@ -2,12 +2,9 @@
 #define LAMBADA_CLOUD_FAULT_H_
 
 #include <cstdint>
-#include <functional>
-#include <vector>
 
 #include "common/rng.h"
 #include "common/status.h"
-#include "sim/simulator.h"
 
 namespace lambada::cloud {
 
@@ -86,26 +83,10 @@ struct FaultPlan {
   int invoker_crash_max_generation = 1;
 };
 
-/// One injected fault, reported to observers as it happens (virtual time).
-struct FaultEvent {
-  enum class Kind {
-    kS3GetError,
-    kS3PutError,
-    kS3SlowDown,
-    kInvokeError,
-    kWorkerCrashArmed,
-    kStragglerArmed,
-    kInvokerCrashArmed,
-  };
-  Kind kind;
-  double time = 0;  ///< Virtual time of the draw.
-  CrashSite crash_site = CrashSite::kNone;  ///< For kWorkerCrashArmed.
-};
-
 /// Executes a FaultPlan: services consult it at their request hooks
 /// (pre-request) and the FaaS layer asks it for a fate when a handler
-/// starts. Observer callbacks fire post-draw for every injected fault, so
-/// tests and benches can audit exactly what chaos a run experienced.
+/// starts. Counters of every injected fault let tests and benches audit
+/// exactly what chaos a run experienced.
 ///
 /// Determinism contract: each request hook consumes exactly one uniform
 /// draw and each fate draw exactly two, *regardless of the configured
@@ -113,8 +94,8 @@ struct FaultEvent {
 /// other draws — fault schedules stay comparable across sweep points.
 class FaultInjector {
  public:
-  FaultInjector(sim::Simulator* sim, const FaultPlan& plan)
-      : sim_(sim), plan_(plan), rng_(plan.seed) {}
+  explicit FaultInjector(const FaultPlan& plan)
+      : plan_(plan), rng_(plan.seed) {}
 
   bool enabled() const { return plan_.enabled; }
   const FaultPlan& plan() const { return plan_; }
@@ -135,27 +116,17 @@ class FaultInjector {
   /// kBeforeInvokingChildren / kWhileInvokingChildren sites.
   CrashSite DrawInvokerFate(int generation);
 
-  /// Registers a post-draw observer; called synchronously for every
-  /// injected fault.
-  void AddObserver(std::function<void(const FaultEvent&)> observer) {
-    observers_.push_back(std::move(observer));
-  }
-
-  // Injection counters (everything the observers saw, aggregated).
+  // Injection counters.
   int64_t injected_request_faults() const { return injected_request_faults_; }
   int64_t crashes_armed() const { return crashes_armed_; }
   int64_t stragglers_armed() const { return stragglers_armed_; }
   int64_t invoker_crashes_armed() const { return invoker_crashes_armed_; }
 
  private:
-  void Notify(FaultEvent::Kind kind, CrashSite site = CrashSite::kNone);
-
-  sim::Simulator* sim_;
   FaultPlan plan_;
   Rng rng_;
   /// Separate stream for invoker fates (see FaultPlan::invoker_crash_rate).
   Rng invoker_rng_{plan_.seed ^ 0x1e7ee5eedULL};
-  std::vector<std::function<void(const FaultEvent&)>> observers_;
   int64_t injected_request_faults_ = 0;
   int64_t crashes_armed_ = 0;
   int64_t stragglers_armed_ = 0;

@@ -77,16 +77,6 @@ std::string MetadataCache::ListingKey(const std::string& bucket,
          std::to_string(ListVersion(bucket)) + "/" + bucket + "/" + prefix;
 }
 
-void MetadataCache::CountHit() {
-  ++hits_;
-  if (metrics_ != nullptr) metrics_->Add(obs::Metric::kMetaCacheHits, 1);
-}
-
-void MetadataCache::CountMiss() {
-  ++misses_;
-  if (metrics_ != nullptr) metrics_->Add(obs::Metric::kMetaCacheMisses, 1);
-}
-
 sim::Async<Result<std::string>> MetadataCache::GetBlob(NetContext ctx,
                                                        std::string key) {
   auto head = co_await kv_->Get(ctx, table_, key);
@@ -138,7 +128,7 @@ sim::Async<Result<ObjectStore::TailResult>> MetadataCache::GetFooter(
     int64_t suffix_length) {
   auto blob = co_await GetBlob(ctx, FooterKey(bucket, key, suffix_length));
   if (!blob.ok()) {
-    CountMiss();
+    metrics_->Add(obs::Metric::kMetaCacheMisses, 1);
     co_return blob.status();
   }
   BinaryReader r(reinterpret_cast<const uint8_t*>(blob->data()),
@@ -150,7 +140,7 @@ sim::Async<Result<ObjectStore::TailResult>> MetadataCache::GetFooter(
   auto data_r = r.GetBytes();
   if (!data_r.ok()) co_return data_r.status();
   tail.data = Buffer::FromVector(std::move(*data_r));
-  CountHit();
+  metrics_->Add(obs::Metric::kMetaCacheHits, 1);
   co_return tail;
 }
 
@@ -171,7 +161,7 @@ sim::Async<Result<std::vector<ObjectInfo>>> MetadataCache::GetListing(
     NetContext ctx, std::string bucket, std::string prefix) {
   auto blob = co_await GetBlob(ctx, ListingKey(bucket, prefix));
   if (!blob.ok()) {
-    CountMiss();
+    metrics_->Add(obs::Metric::kMetaCacheMisses, 1);
     co_return blob.status();
   }
   BinaryReader r(reinterpret_cast<const uint8_t*>(blob->data()),
@@ -191,7 +181,7 @@ sim::Async<Result<std::vector<ObjectInfo>>> MetadataCache::GetListing(
     info.size = *isize_r;
     out.push_back(std::move(info));
   }
-  CountHit();
+  metrics_->Add(obs::Metric::kMetaCacheHits, 1);
   co_return out;
 }
 

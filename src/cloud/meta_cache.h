@@ -34,9 +34,10 @@ namespace lambada::cloud {
 class MetadataCache {
  public:
   /// Creates `table` in `kv` and installs the write observer on `s3`.
-  /// `metrics` (optional) receives hit/miss counters.
+  /// Lookups count meta_cache.hits / meta_cache.misses into `metrics`,
+  /// which must outlive the cache.
   MetadataCache(KeyValueStore* kv, ObjectStore* s3, std::string table,
-                obs::MetricsRegistry* metrics = nullptr);
+                obs::MetricsRegistry* metrics);
 
   /// Uninstalls the write observer (the store outlives the cache).
   ~MetadataCache();
@@ -65,9 +66,6 @@ class MetadataCache {
   /// Version-bump hook; public so tests can simulate out-of-band writes.
   void OnWrite(const std::string& bucket, const std::string& key);
 
-  int64_t hits() const { return hits_; }
-  int64_t misses() const { return misses_; }
-
   /// Current versioned cache key for a footer / listing (tests pin these).
   std::string FooterKey(const std::string& bucket, const std::string& key,
                         int64_t suffix_length) const;
@@ -86,15 +84,10 @@ class MetadataCache {
   sim::Async<Status> PutBlob(NetContext ctx, std::string key,
                              std::string blob);
 
-  void CountHit();
-  void CountMiss();
-
   KeyValueStore* kv_;
   ObjectStore* s3_;
   std::string table_;
   obs::MetricsRegistry* metrics_;
-  int64_t hits_ = 0;
-  int64_t misses_ = 0;
 
   /// Host-side version state fed by the write observer.
   std::map<std::string, uint64_t> bucket_epoch_;

@@ -7,23 +7,13 @@
 #include "sim/resources.h"
 
 namespace lambada::obs {
+class MetricsRegistry;
 class Tracer;
 }
 
 namespace lambada::cloud {
 
 class CostLedger;
-
-/// Per-caller request telemetry, accumulated by S3Client and friends and
-/// shipped home in WorkerResultMetrics. Also tracks the detached request
-/// coroutines a hedged GET can leave in flight, so a worker environment is
-/// only torn down once they have drained.
-struct RequestStats {
-  int64_t s3_retries = 0;        ///< Backoff retries across all S3 calls.
-  int64_t hedged_requests = 0;   ///< Duplicate GETs issued by hedging.
-  int64_t hedge_wins = 0;        ///< Hedged GETs whose duplicate won.
-  int inflight_requests = 0;     ///< Detached request coroutines still live.
-};
 
 /// Policy for hedged object-store GETs: after the caller-observed p90
 /// latency (at least 20 ms, once 8 GETs have completed) elapses without a
@@ -45,8 +35,14 @@ struct NetContext {
   /// Multiplier applied to transferred byte counts to model datasets larger
   /// than the real bytes held in memory (see DESIGN.md "virtual scaling").
   double data_scale = 1.0;
-  /// Optional request telemetry sink (owned by the caller's environment).
-  RequestStats* stats = nullptr;
+  /// Optional request telemetry sink (owned by the caller's environment):
+  /// S3Client counts s3.retries, s3.hedged_requests and s3.hedge_wins
+  /// into it.
+  obs::MetricsRegistry* metrics = nullptr;
+  /// Optional count of the detached request coroutines a hedged GET can
+  /// leave in flight (owned by the caller's environment, which is only
+  /// torn down once it drains to zero).
+  int* inflight_requests = nullptr;
   /// Optional hedging policy; null or disabled means plain requests.
   const HedgeConfig* hedge = nullptr;
   /// Optional tracing sink: request-level events (injected faults, backoff

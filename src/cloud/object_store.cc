@@ -5,6 +5,7 @@
 
 #include "cloud/fault.h"
 #include "common/logging.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace lambada::cloud {
@@ -338,7 +339,7 @@ Status AfterRetries(const Status& s, int retries) {
 /// The retry loop of every S3Client verb: calls `attempt` until it
 /// succeeds, fails non-retriably, or has been retried kMaxRetries times,
 /// sleeping a jittered, doubling backoff before each retry. Each retry
-/// counts in `ctx.stats`, marks an "s3.retry" instant on the trace, and
+/// counts in `ctx.metrics`, marks an "s3.retry" instant on the trace, and
 /// draws one uniform from `ctx.rng` — only after a retriable failure.
 template <typename Attempt>
 auto WithRetries(sim::Simulator* sim, const NetContext& ctx, Attempt attempt)
@@ -350,7 +351,7 @@ auto WithRetries(sim::Simulator* sim, const NetContext& ctx, Attempt attempt)
     const Status s = internal::ToStatus(r);
     if (!s.IsRetriable()) co_return r;
     if (retries >= kMaxRetries) co_return AfterRetries(s, retries);
-    if (ctx.stats != nullptr) ++ctx.stats->s3_retries;
+    if (ctx.metrics != nullptr) ctx.metrics->Add(obs::Metric::kS3Retries, 1);
     if (ctx.tracer != nullptr) ctx.tracer->Instant(ctx.span, "s3.retry");
     co_await sim::Sleep(sim, backoff * (0.5 + ctx.rng->NextDouble()));
     backoff *= 2;
@@ -370,7 +371,7 @@ struct HedgeRace {
 /// One racer of a hedged GET. Deliberately touches only the store (which
 /// outlives the simulation) and the copied NetContext, whose pointers
 /// live on the caller's environment — the environment drains
-/// `stats->inflight_requests` to zero before dying, so a loser finishing
+/// `inflight_requests` to zero before dying, so a loser finishing
 /// late never dangles. It must NOT touch the S3Client, which may already
 /// be destroyed when the loser completes.
 sim::Async<void> HedgeAttempt(ObjectStore* store, NetContext ctx,
@@ -378,9 +379,9 @@ sim::Async<void> HedgeAttempt(ObjectStore* store, NetContext ctx,
                               std::string bucket, std::string key,
                               int64_t offset, int64_t length,
                               bool is_hedge) {
-  if (ctx.stats != nullptr) ++ctx.stats->inflight_requests;
+  if (ctx.inflight_requests != nullptr) ++*ctx.inflight_requests;
   auto r = co_await store->Get(ctx, bucket, key, offset, length);
-  if (ctx.stats != nullptr) --ctx.stats->inflight_requests;
+  if (ctx.inflight_requests != nullptr) --*ctx.inflight_requests;
   if (!race->settled) {
     race->settled = true;
     race->hedge_won = is_hedge;
@@ -397,7 +398,9 @@ sim::Async<void> HedgeArm(ObjectStore* store, NetContext ctx,
                           int64_t offset, int64_t length) {
   co_await sim::Sleep(store->simulator(), delay);
   if (race->settled) co_return;
-  if (ctx.stats != nullptr) ++ctx.stats->hedged_requests;
+  if (ctx.metrics != nullptr) {
+    ctx.metrics->Add(obs::Metric::kHedgedRequests, 1);
+  }
   if (ctx.tracer != nullptr) ctx.tracer->Instant(ctx.span, "s3.hedge_armed");
   co_await HedgeAttempt(store, ctx, std::move(race), std::move(bucket),
                         std::move(key), offset, length, /*is_hedge=*/true);
@@ -427,7 +430,7 @@ sim::Async<Result<BufferPtr>> S3Client::HedgedGet(std::string bucket,
     co_await race->first_done.Wait();
   }
   if (race->hedge_won) {
-    if (ctx_.stats != nullptr) ++ctx_.stats->hedge_wins;
+    if (ctx_.metrics != nullptr) ctx_.metrics->Add(obs::Metric::kHedgeWins, 1);
     if (ctx_.tracer != nullptr) {
       ctx_.tracer->Instant(ctx_.span, "s3.hedge_win");
     }

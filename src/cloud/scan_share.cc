@@ -23,10 +23,7 @@ sim::Async<Result<BufferPtr>> SharedScanBroker::Get(S3Client* client,
       // Attach: await the in-flight fetch and share its buffer.
       std::shared_ptr<Entry> entry = it->second;
       if (attribution != nullptr) entry->sharers.push_back(attribution);
-      ++stats_.attaches;
-      if (metrics_ != nullptr) {
-        metrics_->Add(obs::Metric::kSharedScanAttaches, 1);
-      }
+      metrics_->Add(obs::Metric::kSharedScanAttaches, 1);
       co_await entry->done.Wait();
       if (entry->completed) co_return entry->result;
       // The fetcher failed. Waiters wake in FIFO order; the first finds no
@@ -40,16 +37,8 @@ sim::Async<Result<BufferPtr>> SharedScanBroker::Get(S3Client* client,
     auto entry = std::make_shared<Entry>(sim_);
     inflight_[extent] = entry;
     if (attribution != nullptr) entry->sharers.push_back(attribution);
-    ++stats_.fetches;
-    if (metrics_ != nullptr) {
-      metrics_->Add(obs::Metric::kSharedScanFetches, 1);
-    }
-    if (was_waiter) {
-      ++stats_.rearms;
-      if (metrics_ != nullptr) {
-        metrics_->Add(obs::Metric::kSharedScanRearms, 1);
-      }
-    }
+    metrics_->Add(obs::Metric::kSharedScanFetches, 1);
+    if (was_waiter) metrics_->Add(obs::Metric::kSharedScanRearms, 1);
     NetContext bare = client->ctx();
     bare.attribution = nullptr;
     S3Client fetcher(client->store(), bare);

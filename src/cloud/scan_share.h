@@ -31,8 +31,9 @@ class S3Client;
 /// is bounded.
 class SharedScanBroker {
  public:
-  explicit SharedScanBroker(sim::Simulator* sim,
-                            obs::MetricsRegistry* metrics = nullptr)
+  /// Counts shared_scan.fetches / attaches / rearms into `metrics`, which
+  /// must outlive the broker.
+  SharedScanBroker(sim::Simulator* sim, obs::MetricsRegistry* metrics)
       : sim_(sim), metrics_(metrics) {}
 
   /// Drop-in for S3Client::Get over `client`. The returned buffer is shared
@@ -40,13 +41,6 @@ class SharedScanBroker {
   sim::Async<Result<BufferPtr>> Get(S3Client* client, std::string bucket,
                                     std::string key, int64_t offset,
                                     int64_t length);
-
-  struct Stats {
-    int64_t fetches = 0;   ///< Physical GETs issued.
-    int64_t attaches = 0;  ///< Requests served by piggybacking.
-    int64_t rearms = 0;    ///< Fetches re-armed after a fetcher failure.
-  };
-  const Stats& stats() const { return stats_; }
 
  private:
   struct Entry {
@@ -60,7 +54,6 @@ class SharedScanBroker {
 
   sim::Simulator* sim_;
   obs::MetricsRegistry* metrics_;
-  Stats stats_;
   std::map<std::string, std::shared_ptr<Entry>> inflight_;
 };
 

@@ -256,6 +256,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   // columns are probed against every relation — lookups of columns a
   // relation does not have simply miss. A join-free plan has nothing to
   // cost, so it gets no catalog (and issues no stats-index lookups).
+  StatsIndex stats_index(&cloud_->ddb());
   Catalog catalog;
   if (!build_listings.empty()) {
     std::set<std::string> filter_cols;
@@ -274,7 +275,6 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
       }
     }
 
-    StatsIndex stats(&cloud_->ddb());
     auto add_relation = [&](const std::string& pattern,
                             const PatternListing& l,
                             std::set<std::string> cols)
@@ -287,8 +287,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
         std::set<std::string> listed;
         for (const auto& f : l.files) listed.insert(f.key);
         for (const auto& c : cols) {
-          auto lookup =
-              co_await stats.Lookup(cloud_->driver_net(), l.dataset, c);
+          auto lookup = co_await stats_index.Lookup(dnet, l.dataset, c);
           if (!lookup.ok()) {
             if (lookup.status().IsNotFound()) continue;  // Not indexed.
             co_return lookup.status();
@@ -324,20 +323,21 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
     }
   }
 
-  // Fleet-size estimate for the broadcast alternative's cost; the final
-  // count is settled below, after pruning.
-  int est_workers =
-      options.num_workers > 0
-          ? options.num_workers
-          : static_cast<int>(
-                (files.size() +
-                 static_cast<size_t>(options.files_per_worker) - 1) /
-                static_cast<size_t>(options.files_per_worker));
-  est_workers =
-      std::max(1, std::min<int>(est_workers, static_cast<int>(files.size())));
+  // The worker count over `n_files` inputs: W = files / F (Section 5.2),
+  // at least one worker and at most one per file. The optimizer costs the
+  // broadcast alternative with the count over every listed file; the
+  // final count is settled below, after pruning.
+  auto worker_count = [&options](size_t n_files) {
+    const auto per_worker = static_cast<size_t>(options.files_per_worker);
+    const int w = options.num_workers > 0
+                      ? options.num_workers
+                      : static_cast<int>((n_files + per_worker - 1) /
+                                         per_worker);
+    return std::max(1, std::min<int>(w, static_cast<int>(n_files)));
+  };
 
   OptimizerOptions opt;
-  opt.workers = est_workers;
+  opt.workers = worker_count(files.size());
   opt.strategy = options.join_strategy;
   Result<PhysicalQuery> physical = OptimizeQuery(query, catalog, opt);
   if (!physical.ok()) co_return physical.status();
@@ -367,14 +367,12 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   if (options.use_stats_index && physical->fragment.scan_filter != nullptr) {
     // Section 5.3 extension: central min/max index lets the driver skip
     // files before any worker is started.
-    StatsIndex stats(&cloud_->ddb());
     std::vector<std::string> keys;
     keys.reserve(files.size());
     for (const auto& f : files) keys.push_back(f.key);
-    auto kept = co_await stats.PruneFiles(dnet,
-                                          probe_listing.dataset,
-                                          std::move(keys),
-                                          physical->fragment.scan_filter);
+    auto kept = co_await stats_index.PruneFiles(
+        dnet, probe_listing.dataset, std::move(keys),
+        physical->fragment.scan_filter);
     // Either fallback scans every file; EXPLAIN says so.
     const std::string scan_all =
         ", scanning all " + std::to_string(files.size()) + " files\n";
@@ -397,15 +395,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   }
 
   // ---- Decide the worker count (W = files / F, Section 5.2). ----
-  int workers;
-  if (options.num_workers > 0) {
-    workers = options.num_workers;
-  } else {
-    workers = static_cast<int>(
-        (files.size() + options.files_per_worker - 1) /
-        static_cast<size_t>(options.files_per_worker));
-  }
-  workers = std::max(1, std::min<int>(workers, static_cast<int>(files.size())));
+  int workers = worker_count(files.size());
   // Exchanges need a factorizable worker grid; round down if necessary.
   // Both exchanges of a partitioned join run over the same grid, so both
   // constrain it; a broadcast join has no exchange and constrains nothing.
@@ -825,13 +815,12 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   report.subtree_reinvocations = subtree_reinvocations;
   report.tree_depth = tree.depth();
   report.duplicate_results = duplicate_results;
-  for (const auto& r : results) {
-    report.worker_s3_retries += r.metrics.s3_retries();
-    report.hedged_gets += r.metrics.hedged_requests();
-    report.hedge_wins += r.metrics.hedge_wins();
-    // Fleet-wide registry: the winning attempt of every worker.
-    report.fleet_metrics.Merge(r.metrics.registry);
-  }
+  // Fleet-wide registry: the winning attempt of every worker.
+  for (const auto& r : results) report.fleet_metrics.Merge(r.metrics);
+  const obs::MetricsRegistry& fleet = report.fleet_metrics;
+  report.worker_s3_retries = fleet.counter(obs::Metric::kS3Retries);
+  report.hedged_gets = fleet.counter(obs::Metric::kHedgedRequests);
+  report.hedge_wins = fleet.counter(obs::Metric::kHedgeWins);
   report.worker_results = std::move(results);
   report.join_choices = physical->join_choices;
   report.explain_text = physical->explain_text;

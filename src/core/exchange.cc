@@ -1,6 +1,7 @@
 #include "core/exchange.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -123,23 +124,32 @@ Result<std::vector<uint64_t>> DecodeOffsets(const std::string& encoded,
   return offsets;
 }
 
-/// Parses "s<j>-o..." file names of the offsets-in-name variant.
+/// Parses the "s<j>-o..." file names of the offsets-in-name variant,
+/// written by the group's senders j in [0, side). Any other name under the
+/// group's prefix is an IOError naming the key.
 Result<std::pair<int, std::vector<uint64_t>>> ParseCombinedName(
-    const std::string& key, const std::string& prefix, size_t num_parts) {
+    const std::string& key, const std::string& prefix, int side) {
+  auto bad = [&key](const std::string& why) {
+    return Status::IOError("bad exchange file name " + key + ": " + why);
+  };
   if (key.size() <= prefix.size() ||
       key.compare(0, prefix.size(), prefix) != 0 ||
       key[prefix.size()] != 's') {
-    return Status::IOError("unexpected exchange file name: " + key);
+    return bad("not a sender file");
   }
-  size_t dash = key.find('-', prefix.size());
-  if (dash == std::string::npos) {
-    return Status::IOError("exchange file name missing offsets: " + key);
+  const size_t dash = key.find('-', prefix.size());
+  if (dash == std::string::npos) return bad("missing offsets");
+  const char* first = key.data() + prefix.size() + 1;
+  const char* last = key.data() + dash;
+  int sender = -1;
+  auto [end, ec] = std::from_chars(first, last, sender);
+  if (ec != std::errc() || end != last || sender < 0 || sender >= side) {
+    return bad("sender index outside [0, " + std::to_string(side) + ")");
   }
-  int sender = std::stoi(key.substr(prefix.size() + 1,
-                                    dash - prefix.size() - 1));
-  ASSIGN_OR_RETURN(auto offsets,
-                   DecodeOffsets(key.substr(dash + 1), num_parts + 1));
-  return std::make_pair(sender, offsets);
+  auto offsets = DecodeOffsets(key.substr(dash + 1),
+                               static_cast<size_t>(side) + 1);
+  if (!offsets.ok()) return bad(offsets.status().message());
+  return std::make_pair(sender, *std::move(offsets));
 }
 
 }  // namespace
@@ -522,18 +532,15 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
         if (!listing.ok()) co_return listing.status();
         senders.clear();
         keys_found.clear();
-        bool parse_ok = true;
         for (const auto& obj : *listing) {
-          auto parsed = ParseCombinedName(obj.key, prefix,
-                                          static_cast<size_t>(side));
-          if (!parsed.ok()) {
-            parse_ok = false;
-            break;
-          }
+          // A foreign name never turns into a sender file: fail now
+          // rather than poll until the timeout.
+          auto parsed = ParseCombinedName(obj.key, prefix, side);
+          if (!parsed.ok()) co_return parsed.status();
           senders.push_back(*parsed);
           keys_found.push_back(obj.key);
         }
-        if (parse_ok && senders.size() == static_cast<size_t>(side)) break;
+        if (senders.size() == static_cast<size_t>(side)) break;
         if (sim->Now() >= deadline) {
           co_return Status::Timeout("exchange: senders missing in phase " +
                                     std::to_string(phase));

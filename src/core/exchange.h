@@ -15,9 +15,9 @@ namespace lambada::core {
 
 /// Timing breakdown of one exchange execution on one worker, mirroring the
 /// phases of Figure 13 (per round: write, wait, read). Request and byte
-/// counters live in the shared registry under the exchange.* names; bytes
-/// here are REAL serialized bytes — the worker scales them by data_scale
-/// when folding into its result metrics.
+/// counters live in the registry under the exchange.* names; bytes there
+/// are REAL serialized bytes — the worker scales them by data_scale when
+/// folding them into its own registry.
 struct ExchangeMetrics {
   struct Round {
     double partition_s = 0;
@@ -27,24 +27,6 @@ struct ExchangeMetrics {
   };
   std::vector<Round> rounds;
   obs::MetricsRegistry registry;
-
-  int64_t put_requests() const {
-    return registry.counter(obs::Metric::kExchangePutRequests);
-  }
-  int64_t get_requests() const {
-    return registry.counter(obs::Metric::kExchangeGetRequests);
-  }
-  int64_t list_requests() const {
-    return registry.counter(obs::Metric::kExchangeListRequests);
-  }
-  /// Serialized partition bytes this worker uploaded / downloaded across
-  /// all rounds — the exchange's share of the query's bytes moved.
-  int64_t bytes_written() const {
-    return registry.counter(obs::Metric::kExchangeBytesWritten);
-  }
-  int64_t bytes_read() const {
-    return registry.counter(obs::Metric::kExchangeBytesRead);
-  }
 };
 
 /// Decomposes P into `levels` near-equal factors whose product is exactly

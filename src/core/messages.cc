@@ -170,19 +170,6 @@ Result<InvocationPayload> InvocationPayload::Parse(const std::string& bytes) {
   return p;
 }
 
-void WorkerResultMetrics::Serialize(BinaryWriter* w) const {
-  // The registry's own wire format: sparse sections of (metric id, value)
-  // entries.
-  registry.Serialize(w);
-}
-
-Result<WorkerResultMetrics> WorkerResultMetrics::Deserialize(
-    BinaryReader* r) {
-  WorkerResultMetrics m;
-  ASSIGN_OR_RETURN(m.registry, obs::MetricsRegistry::Deserialize(r));
-  return m;
-}
-
 std::string ResultMessage::Serialize() const {
   BinaryWriter w;
   w.PutString(query_id);
@@ -210,7 +197,7 @@ Result<ResultMessage> ResultMessage::Parse(const std::string& bytes) {
   }
   m.status_code = static_cast<StatusCode>(code);
   ASSIGN_OR_RETURN(m.status_message, r.GetString());
-  ASSIGN_OR_RETURN(m.metrics, WorkerResultMetrics::Deserialize(&r));
+  ASSIGN_OR_RETURN(m.metrics, obs::MetricsRegistry::Deserialize(&r));
   ASSIGN_OR_RETURN(m.inline_result, r.GetBytes());
   ASSIGN_OR_RETURN(m.spill_bucket, r.GetString());
   ASSIGN_OR_RETURN(m.spill_key, r.GetString());

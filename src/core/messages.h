@@ -88,81 +88,6 @@ struct InvocationPayload {
   static Result<InvocationPayload> Parse(const std::string& bytes);
 };
 
-/// Per-worker execution metrics shipped back in the result message: a
-/// metrics registry keyed by the stable ids of src/obs/metrics.h (the id IS
-/// the wire tag of the registry's sparse (id, value) encoding). The
-/// accessors cover what the driver and benches read; byte counters hold
-/// MODELED bytes (virtual scaling applied), the units of the latencies and
-/// costs beside them.
-struct WorkerResultMetrics {
-  obs::MetricsRegistry registry;
-
-  /// Virtual seconds executing the plan fragment.
-  double processing_time_s() const {
-    return registry.gauge(obs::Metric::kProcessingTime);
-  }
-  /// Rows decoded by every scan of the fragment (both scans of a join).
-  int64_t rows_scanned() const {
-    return registry.counter(obs::Metric::kRowsScanned);
-  }
-  int64_t rows_emitted() const {
-    return registry.counter(obs::Metric::kRowsEmitted);
-  }
-  int64_t row_groups_total() const {
-    return registry.counter(obs::Metric::kRowGroupsTotal);
-  }
-  int64_t row_groups_pruned() const {
-    return registry.counter(obs::Metric::kRowGroupsPruned);
-  }
-  /// Join output rows (0 for single-table fragments).
-  int64_t rows_joined() const {
-    return registry.counter(obs::Metric::kRowsJoined);
-  }
-  /// Exchange traffic across every exchange this worker ran (a join
-  /// fragment runs two); mirrors core::ExchangeMetrics.
-  int64_t exchange_rounds() const {
-    return registry.counter(obs::Metric::kExchangeRounds);
-  }
-  int64_t exchange_put_requests() const {
-    return registry.counter(obs::Metric::kExchangePutRequests);
-  }
-  int64_t exchange_get_requests() const {
-    return registry.counter(obs::Metric::kExchangeGetRequests);
-  }
-  int64_t exchange_list_requests() const {
-    return registry.counter(obs::Metric::kExchangeListRequests);
-  }
-  /// Post-encoding bytes fetched by the scans (footers + coalesced
-  /// column-chunk extents) — the quantity the encoding/chunk-size work
-  /// optimizes, reported so BENCH figures can show it directly.
-  int64_t scan_bytes_moved() const {
-    return registry.counter(obs::Metric::kScanBytesMoved);
-  }
-  int64_t rows_dict_filtered() const {
-    return registry.counter(obs::Metric::kRowsDictFiltered);
-  }
-  int64_t exchange_bytes_written() const {
-    return registry.counter(obs::Metric::kExchangeBytesWritten);
-  }
-  int64_t exchange_bytes_read() const {
-    return registry.counter(obs::Metric::kExchangeBytesRead);
-  }
-  /// Fault-tolerance telemetry (mirrors cloud::RequestStats), so the
-  /// straggler bench can attribute mitigation wins per attempt.
-  int64_t s3_retries() const {
-    return registry.counter(obs::Metric::kS3Retries);
-  }
-  int64_t hedged_requests() const {
-    return registry.counter(obs::Metric::kHedgedRequests);
-  }
-  int64_t hedge_wins() const {
-    return registry.counter(obs::Metric::kHedgeWins);
-  }
-
-  void Serialize(BinaryWriter* w) const;
-  static Result<WorkerResultMetrics> Deserialize(BinaryReader* r);
-};
-
 /// The message a worker posts to the result queue when it finishes or
 /// fails (Section 3.3). Large results spill to S3 and are referenced by
 /// pointer (SQS messages are limited to 256 KiB).
@@ -172,7 +97,12 @@ struct ResultMessage {
   /// Status of the worker's execution engine.
   StatusCode status_code = StatusCode::kOk;
   std::string status_message;
-  WorkerResultMetrics metrics;
+  /// The attempt's metrics registry (cloud::WorkerEnv::registry()), keyed
+  /// by the stable ids of src/obs/metrics.h; the id is the wire tag of the
+  /// registry's sparse (id, value) encoding. Byte counters hold MODELED
+  /// bytes (virtual scaling applied), the units of the latencies and costs
+  /// beside them.
+  obs::MetricsRegistry metrics;
   /// Inline partial result (serialized chunk), or empty if spilled.
   std::vector<uint8_t> inline_result;
   /// Set if the result was spilled to S3.

@@ -105,8 +105,6 @@ class QueryService {
   /// Serving counters (serving.*, meta_cache.*, shared_scan.*).
   const obs::MetricsRegistry& metrics() const { return metrics_; }
 
-  cloud::MetadataCache* meta_cache() { return meta_cache_.get(); }
-  cloud::SharedScanBroker* scan_broker() { return scan_broker_.get(); }
   Driver& driver() { return *driver_; }
   int running() const { return running_; }
 

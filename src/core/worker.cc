@@ -83,12 +83,12 @@ engine::ScanOptions MakeScanOptions(std::vector<std::string> projection,
 /// memory per chunk, and the pipeline returns the partial state. Row-op
 /// and aggregation CPU is charged once after the scan, when the row count
 /// is known; the dominant in-scan costs (decompression, residual filter)
-/// are charged inside the scan. Scan counters accumulate into `metrics`.
+/// are charged inside the scan. Scan counters accumulate into the worker's
+/// registry.
 sim::Async<Result<TableChunk>> RunScanPipeline(
     cloud::WorkerEnv& env, const std::vector<engine::FileRef>& files,
     engine::ScanOptions scan_options, const std::vector<PlanOp>& ops,
-    size_t n_ops, engine::HashAggregator* agg, const char* phase_label,
-    WorkerResultMetrics* metrics) {
+    size_t n_ops, engine::HashAggregator* agg, const char* phase_label) {
   std::vector<TableChunk> collected;
   int64_t collected_bytes = 0;
   auto sink = [&](const TableChunk& chunk) -> Status {
@@ -104,21 +104,23 @@ sim::Async<Result<TableChunk>> RunScanPipeline(
     collected.push_back(std::move(current));
     return Status::OK();
   };
-  Result<engine::ScanStats> scan_stats = Status::Internal("scan not run");
+  Result<obs::MetricsRegistry> scan = Status::Internal("scan not run");
   {
     // The per-row-group child spans created inside S3ParquetScan parent
     // under this span.
     cloud::EnvSpan span(&env, "scan", phase_label);
-    scan_stats =
-        co_await engine::S3ParquetScan(env, files, scan_options, sink);
-    if (!scan_stats.ok()) co_return scan_stats.status();
+    scan = co_await engine::S3ParquetScan(env, files, scan_options, sink);
+    if (!scan.ok()) co_return scan.status();
     if (span.id() != 0) {
-      env.tracer()->AddArg(span.id(), "rows", scan_stats->rows_emitted());
-      env.tracer()->AddArg(span.id(), "bytes", scan_stats->bytes_moved());
+      env.tracer()->AddArg(span.id(), "rows",
+                           scan->counter(obs::Metric::kRowsEmitted));
+      env.tracer()->AddArg(span.id(), "bytes",
+                           scan->counter(obs::Metric::kScanBytesMoved));
     }
   }
-  metrics->registry.Merge(scan_stats->registry);
-  const double rows = static_cast<double>(scan_stats->rows_emitted());
+  env.registry().Merge(*scan);
+  const double rows =
+      static_cast<double>(scan->counter(obs::Metric::kRowsEmitted));
   double cpu = rows * kRowOpCpuPerRow * static_cast<double>(n_ops);
   if (agg != nullptr) cpu += rows * kAggCpuPerRow;
   co_await env.Compute(cpu * env.data_scale);
@@ -129,24 +131,25 @@ sim::Async<Result<TableChunk>> RunScanPipeline(
   co_return *std::move(out);
 }
 
-/// Accumulates one exchange run's traffic into the worker metrics.
-/// `data_scale` converts the exchange's real partition bytes into modeled
-/// bytes (virtually-scaled experiments shuffle scale x the real rows).
-void AddExchangeMetrics(WorkerResultMetrics* metrics,
-                        const ExchangeMetrics& xm, double data_scale) {
-  const int64_t real_written = xm.bytes_written();
-  const int64_t real_read = xm.bytes_read();
-  metrics->registry.Merge(xm.registry);
+/// The modeled size of `real` serialized exchange bytes: virtually-scaled
+/// experiments shuffle data_scale x the real rows.
+int64_t ModeledBytes(const cloud::WorkerEnv& env, int64_t real) {
+  return static_cast<int64_t>(static_cast<double>(real) * env.data_scale);
+}
+
+/// Accumulates one exchange run's traffic into the worker's registry.
+void AddExchangeMetrics(cloud::WorkerEnv& env, const ExchangeMetrics& xm) {
+  const int64_t real_written =
+      xm.registry.counter(obs::Metric::kExchangeBytesWritten);
+  const int64_t real_read =
+      xm.registry.counter(obs::Metric::kExchangeBytesRead);
+  env.registry().Merge(xm.registry);
   // The merge added the exchange's REAL serialized bytes; shift the two
   // byte counters so the totals are modeled bytes like everything else.
-  metrics->registry.Add(
-      obs::Metric::kExchangeBytesWritten,
-      static_cast<int64_t>(static_cast<double>(real_written) * data_scale) -
-          real_written);
-  metrics->registry.Add(
-      obs::Metric::kExchangeBytesRead,
-      static_cast<int64_t>(static_cast<double>(real_read) * data_scale) -
-          real_read);
+  env.registry().Add(obs::Metric::kExchangeBytesWritten,
+                     ModeledBytes(env, real_written) - real_written);
+  env.registry().Add(obs::Metric::kExchangeBytesRead,
+                     ModeledBytes(env, real_read) - real_read);
 }
 
 /// Executes the plan fragment over the worker's inputs and returns the
@@ -163,7 +166,7 @@ void AddExchangeMetrics(WorkerResultMetrics* metrics,
 /// state.
 sim::Async<Result<TableChunk>> ExecuteFragment(
     cloud::WorkerEnv& env, const PlanFragment& fragment,
-    const InvocationPayload& payload, WorkerResultMetrics* metrics) {
+    const InvocationPayload& payload) {
   const int p = static_cast<int>(payload.self.worker_id);
   const int P = static_cast<int>(payload.total_workers);
 
@@ -184,18 +187,20 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
     }
     ExchangeMetrics xm;
     auto out = co_await RunExchange(env, spec, p, P, std::move(in), &xm);
-    AddExchangeMetrics(metrics, xm, env.data_scale);
+    AddExchangeMetrics(env, xm);
     if (span.id() != 0) {
+      using obs::Metric;
+      const obs::MetricsRegistry& r = xm.registry;
       env.tracer()->AddArg(
           span.id(), "bytes_written",
-          static_cast<int64_t>(static_cast<double>(xm.bytes_written()) *
-                               env.data_scale));
+          ModeledBytes(env, r.counter(Metric::kExchangeBytesWritten)));
       env.tracer()->AddArg(
           span.id(), "bytes_read",
-          static_cast<int64_t>(static_cast<double>(xm.bytes_read()) *
-                               env.data_scale));
-      env.tracer()->AddArg(span.id(), "puts", xm.put_requests());
-      env.tracer()->AddArg(span.id(), "gets", xm.get_requests());
+          ModeledBytes(env, r.counter(Metric::kExchangeBytesRead)));
+      env.tracer()->AddArg(span.id(), "puts",
+                           r.counter(Metric::kExchangePutRequests));
+      env.tracer()->AddArg(span.id(), "gets",
+                           r.counter(Metric::kExchangeGetRequests));
     }
     co_return out;
   };
@@ -220,8 +225,7 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
       env, payload.self.files,
       MakeScanOptions(fragment.scan_projection, fragment.scan_filter,
                       fragment.chunk_bytes),
-      fragment.ops, first_break, scan_agg ? &*scan_agg : nullptr, "scan",
-      metrics);
+      fragment.ops, first_break, scan_agg ? &*scan_agg : nullptr, "scan");
   if (!probe_local.ok() || scan_agg) co_return std::move(probe_local);
   TableChunk current = *std::move(probe_local);
 
@@ -267,8 +271,7 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
             env, build_files[ordinal],
             MakeScanOptions(join.build_scan_projection,
                             join.build_scan_filter, fragment.chunk_bytes),
-            join.build_ops, join.build_ops.size(), nullptr, "scan-build",
-            metrics);
+            join.build_ops, join.build_ops.size(), nullptr, "scan-build");
         if (!build_local.ok()) co_return build_local.status();
         TableChunk build_chunk = *std::move(build_local);
         if (partitioned) {
@@ -327,8 +330,8 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
                                kJoinCpuPerRow * env.data_scale);
           current = *std::move(joined);
         }
-        metrics->registry.Add(obs::Metric::kRowsJoined,
-                              static_cast<int64_t>(current.num_rows()));
+        env.registry().Add(obs::Metric::kRowsJoined,
+                           static_cast<int64_t>(current.num_rows()));
         if (join_span != 0) {
           env.tracer()->AddArg(join_span, "rows",
                                static_cast<int64_t>(current.num_rows()));
@@ -366,19 +369,15 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
   co_return current;
 }
 
-/// Sends the (success or error) result message, spilling large payloads
-/// to S3.
+/// Sends the (success or error) result message carrying the attempt's
+/// registry, spilling large payloads to S3.
 sim::Async<Status> SendResult(cloud::WorkerEnv& env,
                               const InvocationPayload& payload,
                               ResultMessage message) {
   cloud::EnvSpan span(&env, "worker", "send-result");
-  // Request telemetry accumulated by this attempt's service clients.
-  message.metrics.registry.Add(obs::Metric::kS3Retries,
-                               env.request_stats().s3_retries);
-  message.metrics.registry.Add(obs::Metric::kHedgedRequests,
-                               env.request_stats().hedged_requests);
-  message.metrics.registry.Add(obs::Metric::kHedgeWins,
-                               env.request_stats().hedge_wins);
+  // Copied before the spill PUT: the message reports the attempt's work,
+  // not the requests that deliver it.
+  message.metrics = env.registry();
   if (message.inline_result.size() > kInlineResultLimit) {
     cloud::S3Client client(env.services().s3, env.net());
     message.spill_bucket = payload.plan_bucket;
@@ -547,10 +546,9 @@ sim::Async<Status> WorkerMain(cloud::WorkerEnv& env, std::string raw) {
 
   // ---- Execute. ----
   double exec_start = env.sim()->Now();
-  auto out =
-      co_await ExecuteFragment(env, *fragment, payload, &result.metrics);
-  result.metrics.registry.Set(obs::Metric::kProcessingTime,
-                              env.sim()->Now() - exec_start);
+  auto out = co_await ExecuteFragment(env, *fragment, payload);
+  env.registry().Set(obs::Metric::kProcessingTime,
+                     env.sim()->Now() - exec_start);
   // ---- Fault plan: an invocation fated to crash dies silently. ----
   // A crash consumed mid-exchange surfaces as env.crashed(); fragments
   // with no exchange (nothing consumed the armed site) die here instead,

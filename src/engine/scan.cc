@@ -58,11 +58,11 @@ bool RowGroupSurvives(const format::RowGroupMeta& rg,
 
 }  // namespace
 
-sim::Async<Result<ScanStats>> S3ParquetScan(
+sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
     cloud::WorkerEnv& env, std::vector<FileRef> files,
     const ScanOptions& options,
     std::function<Status(const TableChunk&)> sink) {
-  ScanStats stats;
+  obs::MetricsRegistry metrics;
   auto* sim = env.sim();
   auto& services = env.services();
 
@@ -137,7 +137,7 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
   const uint64_t scan_span = env.trace_span();
 
   for (auto& st : *states) {
-    stats.registry.Add(obs::Metric::kScanFiles, 1);
+    metrics.Add(obs::Metric::kScanFiles, 1);
     co_await st.ready->Wait();
     if (!st.reader.ok()) {
       scan_error = st.reader.status();
@@ -182,12 +182,12 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
     // files are fully pruned return after the metadata round trip.
     std::vector<int> surviving;
     for (int rg = 0; rg < reader->num_row_groups(); ++rg) {
-      stats.registry.Add(obs::Metric::kRowGroupsTotal, 1);
+      metrics.Add(obs::Metric::kRowGroupsTotal, 1);
       if (RowGroupSurvives(reader->metadata().row_groups[rg], file_schema,
                            bounds)) {
         surviving.push_back(rg);
       } else {
-        stats.registry.Add(obs::Metric::kRowGroupsPruned, 1);
+        metrics.Add(obs::Metric::kRowGroupsPruned, 1);
       }
     }
 
@@ -212,7 +212,7 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
                          std::shared_ptr<FileReader> rdr, double scale,
                          int rg_idx, std::vector<int> proj_cols,
                          const std::map<int, format::ColumnBound>* bnds,
-                         sim::Semaphore* g, ScanStats* out,
+                         sim::Semaphore* g, obs::MetricsRegistry* out,
                          const std::function<Status(const TableChunk&)>* snk,
                          Status* sink_st,
                          std::vector<std::optional<TableChunk>>* pend,
@@ -245,8 +245,8 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
           g->Release();
           co_return;
         }
-        out->registry.Add(obs::Metric::kRowsScanned,
-                          static_cast<int64_t>(chunk->num_rows()));
+        out->Add(obs::Metric::kRowsScanned,
+                 static_cast<int64_t>(chunk->num_rows()));
         if (rg_span != 0) {
           tracer->AddArg(rg_span, "rows",
                          static_cast<int64_t>(chunk->num_rows()));
@@ -274,18 +274,18 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
           TableChunk ready = *std::move((*pend)[*next_out]);
           (*pend)[*next_out].reset();
           ++*next_out;
-          out->registry.Add(obs::Metric::kRowsEmitted,
-                            static_cast<int64_t>(ready.num_rows()));
+          out->Add(obs::Metric::kRowsEmitted,
+                   static_cast<int64_t>(ready.num_rows()));
           Status s = (*snk)(ready);
           if (!s.ok() && sink_st->ok()) *sink_st = s;
           e->ReleaseMemory(ready.memory_bytes());
         }
-        out->registry.Observe(obs::Metric::kScanRowGroupTime,
-                              e->sim()->Now() - rg_start);
+        out->Observe(obs::Metric::kScanRowGroupTime,
+                     e->sim()->Now() - rg_start);
         obs::End(tracer, rg_span);
         g->Release();
       }(&env, &options, reader, st.scale, rg, proj, &dict_bounds, &gate,
-        &stats, &sink, &sink_status, &pending, &next_emit, slot, &st.ref.key,
+        &metrics, &sink, &sink_status, &pending, &next_emit, slot, &st.ref.key,
         scan_span));
     }
     co_await sim::WhenAllVoid(sim, std::move(tasks));
@@ -299,23 +299,20 @@ sim::Async<Result<ScanStats>> S3ParquetScan(
     }
     // Report MODELED bytes: a virtually-scaled object moves scale x more
     // bytes through the simulated network than its real backing store.
-    stats.registry.Add(obs::Metric::kScanBytesMoved,
-                       static_cast<int64_t>(
-                           static_cast<double>(reader->bytes_fetched()) *
-                           st.scale));
-    stats.registry.Add(obs::Metric::kRowsDictFiltered,
-                       reader->rows_dict_filtered());
+    metrics.Add(obs::Metric::kScanBytesMoved,
+                static_cast<int64_t>(
+                    static_cast<double>(reader->bytes_fetched()) * st.scale));
+    metrics.Add(obs::Metric::kRowsDictFiltered, reader->rows_dict_filtered());
     if (!sink_status.ok()) {
       scan_error = sink_status;
       break;
     }
-    stats.registry.Add(obs::Metric::kScanGetRequests,
-                       st.source->request_count());
+    metrics.Add(obs::Metric::kScanGetRequests, st.source->request_count());
   }
   // Drain the prefetcher before returning so nothing outlives the worker.
   co_await prefetch_done->Wait();
   if (!scan_error.ok()) co_return scan_error;
-  co_return stats;
+  co_return metrics;
 }
 
 }  // namespace lambada::engine

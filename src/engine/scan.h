@@ -39,44 +39,6 @@ struct ScanOptions {
   format::S3Source::Options source;
 };
 
-/// Metrics reported by one scan execution, kept in the shared registry
-/// under the scan.* names (see src/obs/metrics.h). The accessors cover the
-/// counters callers read.
-struct ScanStats {
-  obs::MetricsRegistry registry;
-
-  int64_t files() const { return registry.counter(obs::Metric::kScanFiles); }
-  int64_t row_groups_total() const {
-    return registry.counter(obs::Metric::kRowGroupsTotal);
-  }
-  int64_t row_groups_pruned() const {
-    return registry.counter(obs::Metric::kRowGroupsPruned);
-  }
-  /// Rows decoded (before residual filter).
-  int64_t rows_scanned() const {
-    return registry.counter(obs::Metric::kRowsScanned);
-  }
-  /// Rows after the residual filter.
-  int64_t rows_emitted() const {
-    return registry.counter(obs::Metric::kRowsEmitted);
-  }
-  int64_t get_requests() const {
-    return registry.counter(obs::Metric::kScanGetRequests);
-  }
-  /// Modeled bytes fetched from storage (footers + column-chunk extents,
-  /// including coalescing gaps, times each object's virtual scale): the
-  /// post-encoding bytes moved, the number the paper's Figure 7/11
-  /// tradeoffs are about. Equals real bytes on unscaled data.
-  int64_t bytes_moved() const {
-    return registry.counter(obs::Metric::kScanBytesMoved);
-  }
-  /// Rows dropped by dictionary-code predicate evaluation in the reader,
-  /// before materialization and the residual filter.
-  int64_t rows_dict_filtered() const {
-    return registry.counter(obs::Metric::kRowsDictFiltered);
-  }
-};
-
 /// Per-row CPU cost of the residual filter + downstream chunk handoff in
 /// the fused pipeline (vCPU-seconds per row). Calibrated so that a full
 /// Q1-style scan of a 500 MB file takes ~2-3 s of single-vCPU time
@@ -86,8 +48,11 @@ inline constexpr double kFilterCpuSecondsPerRow = 4e-9;
 /// Scans .lpq files from simulated S3 inside a serverless worker,
 /// applying projection push-down and statistics-based row-group pruning,
 /// and feeds surviving chunks to `sink`. The sink typically is the fused
-/// (JIT-substituted) pipeline: filter residual -> aggregate.
-sim::Async<Result<ScanStats>> S3ParquetScan(
+/// (JIT-substituted) pipeline: filter residual -> aggregate. Returns the
+/// scan's metrics under the scan.* names of src/obs/metrics.h; its byte
+/// counter holds MODELED bytes (real bytes times each object's virtual
+/// scale), so it equals real bytes on unscaled data.
+sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
     cloud::WorkerEnv& env, std::vector<FileRef> files,
     const ScanOptions& options,
     std::function<Status(const TableChunk&)> sink);

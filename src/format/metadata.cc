@@ -27,15 +27,6 @@ ColumnStats ColumnStats::Compute(const Column& column) {
   return s;
 }
 
-uint64_t RowGroupMeta::ProjectedBytes(
-    const std::vector<int>& columns_subset) const {
-  uint64_t total = 0;
-  for (int c : columns_subset) {
-    total += columns[static_cast<size_t>(c)].compressed_size;
-  }
-  return total;
-}
-
 std::vector<uint8_t> FileMetadata::Serialize() const {
   BinaryWriter w;
   w.PutU8(1);  // Footer format version.

@@ -42,9 +42,6 @@ struct ColumnChunkMeta {
 struct RowGroupMeta {
   uint64_t num_rows = 0;
   std::vector<ColumnChunkMeta> columns;
-
-  /// Total compressed bytes of the given column subset.
-  uint64_t ProjectedBytes(const std::vector<int>& columns_subset) const;
 };
 
 /// The file footer: schema plus the index of all row groups. Loaded with a

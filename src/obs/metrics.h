@@ -12,8 +12,8 @@
 namespace lambada::obs {
 
 /// Every metric the system emits, by stable numeric id. The id is the wire
-/// tag (WorkerResultMetrics rides inside ResultMessage), so entries are
-/// append-only: never renumber, never reuse a retired id.
+/// tag (a worker's registry rides inside core::ResultMessage), so entries
+/// are append-only: never renumber, never reuse a retired id.
 enum class Metric : uint16_t {
   kProcessingTime = 0,
   kRowsScanned = 1,

@@ -268,23 +268,50 @@ TEST(MessagesTest, ResultRoundTripWithError) {
   m.worker_id = 9;
   m.status_code = StatusCode::kOutOfMemory;
   m.status_message = "boom";
-  m.metrics.registry.Set(obs::Metric::kProcessingTime, 2.5);
-  m.metrics.registry.Add(obs::Metric::kRowsScanned, 100);
-  m.metrics.registry.Add(obs::Metric::kScanBytesMoved, 123456789);
-  m.metrics.registry.Add(obs::Metric::kRowsDictFiltered, 42);
-  m.metrics.registry.Add(obs::Metric::kExchangeBytesWritten, 1000);
-  m.metrics.registry.Add(obs::Metric::kExchangeBytesRead, 2000);
+  m.metrics.Set(obs::Metric::kProcessingTime, 2.5);
+  m.metrics.Add(obs::Metric::kRowsScanned, 100);
+  m.metrics.Add(obs::Metric::kScanBytesMoved, 123456789);
+  m.metrics.Add(obs::Metric::kRowsDictFiltered, 42);
+  m.metrics.Add(obs::Metric::kExchangeBytesWritten, 1000);
+  m.metrics.Add(obs::Metric::kExchangeBytesRead, 2000);
+  m.metrics.Observe(obs::Metric::kExchangeRoundTime, 0.02);
   m.inline_result = {1, 2, 3};
-  auto back = ResultMessage::Parse(m.Serialize());
+  const std::string bytes = m.Serialize();
+  // The message's wire bytes, pinned: the registry's sparse sections in
+  // id order (counters, the gauge, then the histogram's 12 buckets, sum
+  // and count) between the envelope fields.
+  static const char kPinned[] =
+      "027131090000000d04626f6f6d05016400000000000000052a00000000000000"
+      "0815cd5b07000000000ee8030000000000000fd0070000000000000100000000"
+      "000000044001130c000000000000000000000000000000000000000000000000"
+      "0000000000000000000000000000000001000000000000000000000000000000"
+      "0000000000000000000000000000000000000000000000000000000000000000"
+      "00000000000000007b14ae47e17a943f01000000000000000301020300000000"
+      "0000";
+  std::string hex;
+  for (unsigned char c : bytes) {
+    static const char kDigits[] = "0123456789abcdef";
+    hex += kDigits[c >> 4];
+    hex += kDigits[c & 0xf];
+  }
+  EXPECT_EQ(hex, kPinned);
+
+  auto back = ResultMessage::Parse(bytes);
   ASSERT_TRUE(back.ok());
   EXPECT_EQ(back->status_code, StatusCode::kOutOfMemory);
   EXPECT_EQ(back->inline_result, (std::vector<uint8_t>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(back->metrics.processing_time_s(), 2.5);
-  EXPECT_EQ(back->metrics.rows_scanned(), 100);
-  EXPECT_EQ(back->metrics.scan_bytes_moved(), 123456789);
-  EXPECT_EQ(back->metrics.rows_dict_filtered(), 42);
-  EXPECT_EQ(back->metrics.exchange_bytes_written(), 1000);
-  EXPECT_EQ(back->metrics.exchange_bytes_read(), 2000);
+  using obs::Metric;
+  EXPECT_DOUBLE_EQ(back->metrics.gauge(Metric::kProcessingTime), 2.5);
+  EXPECT_EQ(back->metrics.counter(Metric::kRowsScanned), 100);
+  EXPECT_EQ(back->metrics.counter(Metric::kScanBytesMoved), 123456789);
+  EXPECT_EQ(back->metrics.counter(Metric::kRowsDictFiltered), 42);
+  EXPECT_EQ(back->metrics.counter(Metric::kExchangeBytesWritten), 1000);
+  EXPECT_EQ(back->metrics.counter(Metric::kExchangeBytesRead), 2000);
+  const obs::Histogram* h = back->metrics.histogram(Metric::kExchangeRoundTime);
+  ASSERT_NE(h, nullptr);
+  EXPECT_EQ(h->count, 1);
+  EXPECT_DOUBLE_EQ(h->sum, 0.02);
+  EXPECT_EQ(back->Serialize(), bytes);
 }
 
 // ---------------------------------------------------------------------------
@@ -821,6 +848,64 @@ TEST(ExchangeTest, RequestCountsMatchModel) {
   }
 }
 
+TEST(ExchangeTest, ForeignNameInGroupPrefixFailsOnFirstList) {
+  // A name under a group's prefix that no sender writes (no sender index,
+  // an index outside the group, offsets that do not decode) can never
+  // complete the barrier: the receiver fails on the first LIST that shows
+  // it, with an IOError naming the key, instead of polling until the
+  // exchange timeout.
+  for (const std::string name : {"s-o0", "s7-data", "s1-o5"}) {
+    cloud::Cloud cloud;
+    ExchangeSpec spec;
+    spec.keys = {"k"};
+    spec.levels = 1;
+    spec.write_combining = true;
+    spec.offsets_in_name = true;
+    spec.num_buckets = 1;
+    LAMBADA_CHECK_OK(CreateExchangeBuckets(&cloud.s3(), spec));
+    spec.exchange_id = "bad-x";
+    const std::string key = "bad-x/ph0/g0/" + name;
+    LAMBADA_CHECK_OK(cloud.s3().PutDirect(spec.bucket_prefix + "-0", key,
+                                          Buffer::FromVector({1})));
+    constexpr int P = 2;
+    std::vector<Status> statuses(P, Status::OK());
+    std::vector<int64_t> lists(P, 0);
+    auto schema = std::make_shared<Schema>(std::vector<Field>{
+        {"k", DataType::kInt64}});
+    cloud::FunctionConfig fn;
+    fn.name = "xw";
+    fn.memory_mib = 2048;
+    fn.handler = [&, schema](cloud::WorkerEnv& env,
+                             std::string payload) -> sim::Async<Status> {
+      const int p = std::stoi(payload);
+      TableChunk input(schema, {Column::Int64({p})});
+      ExchangeMetrics xm;
+      auto out = co_await RunExchange(env, spec, p, P, std::move(input), &xm);
+      statuses[static_cast<size_t>(p)] = out.status();
+      lists[static_cast<size_t>(p)] =
+          xm.registry.counter(obs::Metric::kExchangeListRequests);
+      co_return Status::OK();
+    };
+    LAMBADA_CHECK_OK(cloud.faas().CreateFunction(fn));
+    for (int p = 0; p < P; ++p) {
+      sim::Spawn([](cloud::Cloud* c, int worker) -> sim::Async<void> {
+        co_await c->faas().Invoke(c->driver_invoker_profile(),
+                                  &c->driver_rng(), "xw",
+                                  std::to_string(worker));
+      }(&cloud, p));
+    }
+    cloud.sim().Run();
+    for (int p = 0; p < P; ++p) {
+      const Status& st = statuses[static_cast<size_t>(p)];
+      EXPECT_EQ(st.code(), StatusCode::kIOError) << name << ": "
+                                                 << st.ToString();
+      EXPECT_NE(st.message().find(key), std::string::npos) << st.ToString();
+      EXPECT_EQ(lists[static_cast<size_t>(p)], 1) << name;
+    }
+    EXPECT_LT(cloud.sim().Now(), 10.0) << name;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Driver end-to-end
 // ---------------------------------------------------------------------------
@@ -911,7 +996,7 @@ TEST_F(DriverFixture, GroupedAggregateAcrossWorkers) {
   EXPECT_EQ(report->cost.lambda_invocations, 4);
   // Every worker reports the real bytes its scan moved.
   for (const auto& wr : report->worker_results) {
-    EXPECT_GT(wr.metrics.scan_bytes_moved(), 0);
+    EXPECT_GT(wr.metrics.counter(obs::Metric::kScanBytesMoved), 0);
   }
 }
 
@@ -1039,11 +1124,10 @@ TEST_F(DriverFixture, InnerJoinThroughTwoSidedExchange) {
                 static_cast<double>(expected_count_[g] * g) * 10.0, 1e-6);
   }
   // Both exchanges ran on every worker.
-  int64_t rounds = 0, joined = 0;
-  for (const auto& wr : report->worker_results) {
-    rounds += wr.metrics.exchange_rounds();
-    joined += wr.metrics.rows_joined();
-  }
+  const int64_t rounds =
+      report->fleet_metrics.counter(obs::Metric::kExchangeRounds);
+  const int64_t joined =
+      report->fleet_metrics.counter(obs::Metric::kRowsJoined);
   EXPECT_EQ(rounds, 4 * 2 * 2);  // 4 workers x 2 exchanges x 2 levels.
   EXPECT_EQ(joined, 4000);
 }
@@ -1063,11 +1147,10 @@ TEST_F(DriverFixture, BroadcastJoinMatchesPartitioned) {
   EXPECT_LT(report->join_choices[0].broadcast_usd,
             report->join_choices[0].partitioned_usd);
   EXPECT_GT(report->join_choices[0].partitioned_usd, 0.0);
-  int64_t rounds = 0, joined = 0;
-  for (const auto& wr : report->worker_results) {
-    rounds += wr.metrics.exchange_rounds();
-    joined += wr.metrics.rows_joined();
-  }
+  const int64_t rounds =
+      report->fleet_metrics.counter(obs::Metric::kExchangeRounds);
+  const int64_t joined =
+      report->fleet_metrics.counter(obs::Metric::kRowsJoined);
   EXPECT_EQ(rounds, 0);  // The broadcast path runs no exchange at all.
   EXPECT_EQ(joined, 4000);
   // Same answer as the partitioned plan of InnerJoinThroughTwoSidedExchange.

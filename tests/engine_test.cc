@@ -12,7 +12,6 @@
 #include "engine/join.h"
 #include "engine/partition.h"
 #include "engine/scan.h"
-#include "engine/sort.h"
 #include "engine/table.h"
 #include "format/writer.h"
 
@@ -504,6 +503,8 @@ TEST(ChunkSerdeTest, CombinedOffsetsDelimitChunks) {
 // S3 scan operator (integration with simulated cloud)
 // ---------------------------------------------------------------------------
 
+using obs::Metric;
+
 class ScanFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -533,9 +534,9 @@ class ScanFixture : public ::testing::Test {
     }
   }
 
-  /// Runs a scan inside a worker and returns (stats, total rows seen).
-  std::pair<ScanStats, int64_t> RunScan(ScanOptions options) {
-    ScanStats stats;
+  /// Runs a scan inside a worker and returns (metrics, total rows seen).
+  std::pair<obs::MetricsRegistry, int64_t> RunScan(ScanOptions options) {
+    obs::MetricsRegistry stats;
     int64_t rows = 0;
     cloud::FunctionConfig fn;
     fn.name = "scanner";
@@ -571,9 +572,9 @@ class ScanFixture : public ::testing::Test {
 TEST_F(ScanFixture, FullScanSeesAllRows) {
   auto [stats, rows] = RunScan(ScanOptions{});
   EXPECT_EQ(rows, 9000);
-  EXPECT_EQ(stats.files(), 3);
-  EXPECT_EQ(stats.row_groups_total(), 9);
-  EXPECT_EQ(stats.row_groups_pruned(), 0);
+  EXPECT_EQ(stats.counter(Metric::kScanFiles), 3);
+  EXPECT_EQ(stats.counter(Metric::kRowGroupsTotal), 9);
+  EXPECT_EQ(stats.counter(Metric::kRowGroupsPruned), 0);
 }
 
 TEST_F(ScanFixture, PredicatePrunesRowGroups) {
@@ -585,22 +586,21 @@ TEST_F(ScanFixture, PredicatePrunesRowGroups) {
   opts.projection = {"id", "v"};
   auto [stats, rows] = RunScan(opts);
   EXPECT_EQ(rows, 1000);
-  EXPECT_EQ(stats.row_groups_pruned(), 8);
-  EXPECT_EQ(stats.rows_scanned(), 1000);
+  EXPECT_EQ(stats.counter(Metric::kRowGroupsPruned), 8);
+  EXPECT_EQ(stats.counter(Metric::kRowsScanned), 1000);
 }
 
 TEST_F(ScanFixture, ResidualFilterAppliedWithinRowGroup) {
   ScanOptions opts;
   opts.filter = Col("v") < Lit(10.0);  // 10% of rows, no pruning possible.
   auto [stats, rows] = RunScan(opts);
-  EXPECT_EQ(stats.row_groups_pruned(), 0);
+  EXPECT_EQ(stats.counter(Metric::kRowGroupsPruned), 0);
   EXPECT_EQ(rows, 900);
 }
 
 TEST_F(ScanFixture, ProjectionNarrowsChunks) {
   ScanOptions opts;
   opts.projection = {"v"};
-  ScanStats stats;
   int64_t cols_seen = -1;
   cloud::FunctionConfig fn;
   fn.name = "proj";
@@ -634,7 +634,7 @@ TEST_F(ScanFixture, ScaledObjectsDescaleChunkAndCoalescingBudgets) {
     ScanOptions opts;
     opts.filter = Col("id") >= Lit(0);
     opts.source.chunk_bytes = 4 * 1024;  // Modeled bytes.
-    ScanStats stats;
+    obs::MetricsRegistry stats;
     int64_t rows = 0;
     static int counter = 0;
     cloud::FunctionConfig fn;
@@ -673,11 +673,11 @@ TEST_F(ScanFixture, ScaledObjectsDescaleChunkAndCoalescingBudgets) {
   // The descaled chunk (4 KiB / 100 = ~41 B real) splits each row-group
   // extent (a few hundred real bytes — the codec crushes these columns)
   // into several GETs; the unscaled scan reads each extent whole.
-  EXPECT_GT(scaled_stats.get_requests(), 2 * plain_stats.get_requests());
+  EXPECT_GT(scaled_stats.counter(Metric::kScanGetRequests),
+            2 * plain_stats.counter(Metric::kScanGetRequests));
 }
 
 TEST_F(ScanFixture, MissingFileFailsHandler) {
-  ScanStats stats;
   Status scan_status = Status::OK();
   cloud::FunctionConfig fn;
   fn.name = "missing";
@@ -698,63 +698,6 @@ TEST_F(ScanFixture, MissingFileFailsHandler) {
   }(&cloud_));
   cloud_.sim().Run();
   EXPECT_TRUE(scan_status.IsNotFound());
-}
-
-}  // namespace
-}  // namespace lambada::engine
-
-// ---------------------------------------------------------------------------
-// Sort / TopK
-// ---------------------------------------------------------------------------
-
-namespace lambada::engine {
-namespace {
-
-TEST(SortTest, SingleKeyAscendingDescending) {
-  auto schema = std::make_shared<Schema>(std::vector<Field>{
-      {"k", DataType::kInt64}, {"v", DataType::kFloat64}});
-  TableChunk t(schema, {Column::Int64({3, 1, 2}),
-                        Column::Float64({0.3, 0.1, 0.2})});
-  auto asc = SortChunk(t, {{"k", true}});
-  ASSERT_TRUE(asc.ok());
-  EXPECT_EQ(asc->column(0).i64(), (std::vector<int64_t>{1, 2, 3}));
-  EXPECT_DOUBLE_EQ(asc->column(1).f64()[0], 0.1);
-  auto desc = SortChunk(t, {{"k", false}});
-  ASSERT_TRUE(desc.ok());
-  EXPECT_EQ(desc->column(0).i64(), (std::vector<int64_t>{3, 2, 1}));
-}
-
-TEST(SortTest, SecondaryKeyBreaksTiesStably) {
-  auto schema = std::make_shared<Schema>(std::vector<Field>{
-      {"a", DataType::kInt64}, {"b", DataType::kInt64}});
-  TableChunk t(schema, {Column::Int64({1, 1, 0, 0}),
-                        Column::Int64({9, 8, 7, 9})});
-  auto sorted = SortChunk(t, {{"a", true}, {"b", false}});
-  ASSERT_TRUE(sorted.ok());
-  EXPECT_EQ(sorted->column(0).i64(), (std::vector<int64_t>{0, 0, 1, 1}));
-  EXPECT_EQ(sorted->column(1).i64(), (std::vector<int64_t>{9, 7, 9, 8}));
-}
-
-TEST(SortTest, TopKLimits) {
-  auto schema = std::make_shared<Schema>(std::vector<Field>{
-      {"v", DataType::kFloat64}});
-  TableChunk t(schema, {Column::Float64({5, 1, 4, 2, 3})});
-  auto top = TopK(t, {{"v", false}}, 2);
-  ASSERT_TRUE(top.ok());
-  EXPECT_EQ(top->num_rows(), 2u);
-  EXPECT_DOUBLE_EQ(top->column(0).f64()[0], 5);
-  EXPECT_DOUBLE_EQ(top->column(0).f64()[1], 4);
-  // Limit beyond size returns everything.
-  auto all = TopK(t, {{"v", true}}, 100);
-  ASSERT_TRUE(all.ok());
-  EXPECT_EQ(all->num_rows(), 5u);
-}
-
-TEST(SortTest, UnknownColumnFails) {
-  auto schema = std::make_shared<Schema>(std::vector<Field>{
-      {"v", DataType::kFloat64}});
-  TableChunk t(schema, {Column::Float64({1})});
-  EXPECT_FALSE(SortChunk(t, {{"nope", true}}).ok());
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "compress/block_codec.h"
 #include "engine/chunk_serde.h"
 #include "engine/partition.h"
 #include "exec/exec_context.h"
@@ -242,24 +241,6 @@ TEST(KernelDeterminismTest, CombinedSerdeMatchesAcrossThreadCounts) {
     auto parallel = engine::SerializeChunksCombined(chunks, ctx);
     EXPECT_EQ(serial.bytes, parallel.bytes);
     EXPECT_EQ(serial.offsets, parallel.offsets);
-  }
-}
-
-TEST(KernelDeterminismTest, BlockCodecRoundTripsAndMatches) {
-  Rng rng(8);
-  std::vector<uint8_t> input(700000);
-  for (auto& b : input) {
-    b = static_cast<uint8_t>(rng.UniformInt(0, 20));  // Compressible.
-  }
-  const auto& codec = compress::GetCodec(compress::CodecId::kLz);
-  auto serial = compress::CompressBlocks(codec, input);
-  EXPECT_LT(serial.size(), input.size());
-  for (int threads : {2, 8}) {
-    exec::ExecContext ctx = exec::ExecContext::Parallel(threads);
-    EXPECT_EQ(serial, compress::CompressBlocks(codec, input, ctx));
-    auto back = compress::DecompressBlocks(codec, serial, ctx);
-    ASSERT_TRUE(back.ok());
-    EXPECT_EQ(*back, input);
   }
 }
 

@@ -294,7 +294,8 @@ TEST(FailureTest, HedgedGetsDuplicateSlowRequests) {
   LAMBADA_CHECK_OK(cloud.s3().CreateBucket("h"));
   LAMBADA_CHECK_OK(cloud.s3().PutDirect(
       "h", "obj", Buffer::FromVector(std::vector<uint8_t>(64 * 1024, 7))));
-  cloud::RequestStats observed;
+  obs::MetricsRegistry observed;
+  int inflight = -1;
   int failures = 0;
   cloud::FunctionConfig fn;
   fn.name = "hedger";
@@ -307,7 +308,8 @@ TEST(FailureTest, HedgedGetsDuplicateSlowRequests) {
       auto got = co_await client.Get("h", "obj");
       if (!got.ok() || (*got)->size() != 64 * 1024) ++failures;
     }
-    observed = env.request_stats();
+    observed = env.registry();
+    inflight = env.inflight_requests();
     co_return Status::OK();
   };
   ASSERT_TRUE(cloud.faas().CreateFunction(fn).ok());
@@ -317,9 +319,10 @@ TEST(FailureTest, HedgedGetsDuplicateSlowRequests) {
   }(&cloud));
   cloud.sim().Run();
   EXPECT_EQ(failures, 0);
-  EXPECT_GT(observed.hedged_requests, 0);
-  EXPECT_LE(observed.hedge_wins, observed.hedged_requests);
-  EXPECT_EQ(observed.inflight_requests, 0);
+  EXPECT_GT(observed.counter(obs::Metric::kHedgedRequests), 0);
+  EXPECT_LE(observed.counter(obs::Metric::kHedgeWins),
+            observed.counter(obs::Metric::kHedgedRequests));
+  EXPECT_EQ(inflight, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -647,7 +650,8 @@ TEST(ServingChaosTest, AttachersSurviveFetcherFailureByRearming) {
     cfg.fault.s3_get_error_rate = 0.9;
     cloud::Cloud cloud(cfg);
     LAMBADA_CHECK_OK(cloud.s3().CreateBucket("b"));
-    cloud::SharedScanBroker broker(&cloud.sim());
+    obs::MetricsRegistry metrics;
+    cloud::SharedScanBroker broker(&cloud.sim(), &metrics);
     auto a_st = std::make_shared<Status>(Status::OK());
     auto b_st = std::make_shared<Status>(Status::OK());
     auto b_len = std::make_shared<int64_t>(-1);
@@ -678,19 +682,21 @@ TEST(ServingChaosTest, AttachersSurviveFetcherFailureByRearming) {
     }(&cloud, &broker, a_st, b_st, b_len));
     cloud.sim().Run();
 
-    const auto& stats = broker.stats();
+    const int64_t fetches = metrics.counter(obs::Metric::kSharedScanFetches);
+    const int64_t attaches =
+        metrics.counter(obs::Metric::kSharedScanAttaches);
+    const int64_t rearms = metrics.counter(obs::Metric::kSharedScanRearms);
     // Shape invariants that hold for every seed: one initial fetch plus
     // one attach; at most one re-arm (the second reader is the only
     // candidate); a successful attacher always saw the full object.
-    EXPECT_EQ(stats.attaches, 1) << "seed " << seed;
-    EXPECT_GE(stats.fetches, 1) << "seed " << seed;
-    EXPECT_LE(stats.fetches, 2) << "seed " << seed;
-    EXPECT_EQ(stats.rearms, stats.fetches - 1) << "seed " << seed;
+    EXPECT_EQ(attaches, 1) << "seed " << seed;
+    EXPECT_GE(fetches, 1) << "seed " << seed;
+    EXPECT_LE(fetches, 2) << "seed " << seed;
+    EXPECT_EQ(rearms, fetches - 1) << "seed " << seed;
     if (b_st->ok()) {
       EXPECT_EQ(*b_len, 64 * 1024) << "seed " << seed;
     }
-    witnessed = !a_st->ok() && b_st->ok() && stats.fetches == 2 &&
-                stats.rearms == 1;
+    witnessed = !a_st->ok() && b_st->ok() && fetches == 2 && rearms == 1;
   }
   EXPECT_TRUE(witnessed)
       << "no seed in [1, 24] produced fetcher-fails/attacher-survives";

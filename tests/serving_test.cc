@@ -299,7 +299,7 @@ TEST(ServingCacheTest, WarmRunByteIdenticalAndCheaperThanCold) {
   const QueryReport& warm = *runs[1];
   EXPECT_EQ(ResultBytes(cold), ResultBytes(warm));
   // The warm run served its LIST and footers from the cache.
-  EXPECT_GT(svc.meta_cache()->hits(), 0);
+  EXPECT_GT(svc.metrics().counter(obs::Metric::kMetaCacheHits), 0);
   EXPECT_EQ(warm.cost.s3_list_requests, 0);
   EXPECT_LT(warm.cost.s3_list_requests, cold.cost.s3_list_requests);
   // And it is strictly cheaper end to end: the cold run paid the LIST,
@@ -311,7 +311,8 @@ TEST(ServingCacheTest, WarmRunByteIdenticalAndCheaperThanCold) {
 TEST(ServingCacheTest, RewriteBumpsVersionSoStaleIsNeverServed) {
   cloud::Cloud cloud;
   LAMBADA_CHECK_OK(cloud.s3().CreateBucket("b"));
-  cloud::MetadataCache cache(&cloud.ddb(), &cloud.s3(), "mc");
+  obs::MetricsRegistry metrics;
+  cloud::MetadataCache cache(&cloud.ddb(), &cloud.s3(), "mc", &metrics);
   auto done = std::make_shared<bool>(false);
   sim::Spawn([](cloud::Cloud* c, cloud::MetadataCache* mc,
                 std::shared_ptr<bool> done) -> sim::Async<void> {
@@ -354,7 +355,8 @@ TEST(ServingCacheTest, RewriteBumpsVersionSoStaleIsNeverServed) {
 TEST(ServingCacheTest, OversizeValuesSplitAcrossItemsAtTheBoundary) {
   cloud::Cloud cloud;
   LAMBADA_CHECK_OK(cloud.s3().CreateBucket("b"));
-  cloud::MetadataCache cache(&cloud.ddb(), &cloud.s3(), "mc");
+  obs::MetricsRegistry metrics;
+  cloud::MetadataCache cache(&cloud.ddb(), &cloud.s3(), "mc", &metrics);
   auto done = std::make_shared<bool>(false);
   sim::Spawn([](cloud::Cloud* c, cloud::MetadataCache* mc,
                 std::shared_ptr<bool> done) -> sim::Async<void> {
@@ -425,7 +427,8 @@ TEST(ServingCacheTest, OversizeValuesSplitAcrossItemsAtTheBoundary) {
 TEST(SharedScanTest, ConcurrentReadersShareOneFetchAndSplitTheBill) {
   cloud::Cloud cloud;
   LAMBADA_CHECK_OK(cloud.s3().CreateBucket("b"));
-  cloud::SharedScanBroker broker(&cloud.sim());
+  obs::MetricsRegistry metrics;
+  cloud::SharedScanBroker broker(&cloud.sim(), &metrics);
   auto ok = std::make_shared<int>(0);
   auto led_a = std::make_shared<cloud::CostLedger>();
   auto led_b = std::make_shared<cloud::CostLedger>();
@@ -469,9 +472,9 @@ TEST(SharedScanTest, ConcurrentReadersShareOneFetchAndSplitTheBill) {
   }(&cloud, &broker, ok, led_a, led_b));
   cloud.sim().Run();
   EXPECT_EQ(*ok, 2);
-  EXPECT_EQ(broker.stats().fetches, 1);
-  EXPECT_EQ(broker.stats().attaches, 1);
-  EXPECT_EQ(broker.stats().rearms, 0);
+  EXPECT_EQ(metrics.counter(obs::Metric::kSharedScanFetches), 1);
+  EXPECT_EQ(metrics.counter(obs::Metric::kSharedScanAttaches), 1);
+  EXPECT_EQ(metrics.counter(obs::Metric::kSharedScanRearms), 0);
 }
 
 }  // namespace

@@ -109,6 +109,33 @@ TEST_F(StatsIndexFixture, DriverSkipsWorkersWithIndex) {
             base->cost.lambda_invocations / 2);
 }
 
+TEST_F(StatsIndexFixture, JoinCatalogLookupsBillTheQuery) {
+  // A join's optimizer catalog comes from stats-index lookups: they are
+  // the query's own DynamoDB reads, so with an attribution ledger every
+  // one lands there, exactly as on the account's ledger.
+  workload::LoadOptions oo;
+  oo.num_rows = 4000;
+  oo.num_files = 4;
+  oo.seed = 13;
+  oo.stats_index = index_.get();
+  oo.dataset = "tpch/orders/";
+  ASSERT_TRUE(
+      workload::LoadOrders(&cloud_->s3(), "tpch", "orders/", oo).ok());
+  cloud::CostLedger attribution;
+  RunOptions with;
+  with.use_stats_index = true;
+  with.attribution = &attribution;
+  const cloud::CostSnapshot before = cloud_->ledger().Snapshot();
+  auto report = driver_->RunToCompletion(
+      workload::TpchQ12("s3://tpch/li/*.lpq", "s3://tpch/orders/*.lpq"),
+      with);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_EQ(report->join_choices.size(), 1u);
+  const cloud::CostSnapshot global = cloud_->ledger().Snapshot() - before;
+  EXPECT_GT(global.ddb_reads, 0);
+  EXPECT_EQ(attribution.Snapshot().ddb_reads, global.ddb_reads);
+}
+
 TEST_F(StatsIndexFixture, FailedPruneScansEverythingAndSaysSo) {
   auto q6 = workload::TpchQ6("s3://tpch/li/*.lpq");
   auto base = driver_->RunToCompletion(q6, RunOptions{});

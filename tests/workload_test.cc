@@ -213,11 +213,10 @@ TEST_F(TpchQueryFixture, Q1MatchesReference) {
     }
   }
   // Q1 prunes only the tail of the relation (ships after 1998-09-02).
-  int64_t pruned = 0, total = 0;
-  for (const auto& wr : report->worker_results) {
-    pruned += wr.metrics.row_groups_pruned();
-    total += wr.metrics.row_groups_total();
-  }
+  const int64_t pruned =
+      report->fleet_metrics.counter(obs::Metric::kRowGroupsPruned);
+  const int64_t total =
+      report->fleet_metrics.counter(obs::Metric::kRowGroupsTotal);
   EXPECT_GT(total, 0);
   EXPECT_LT(static_cast<double>(pruned) / total, 0.15);
 }
@@ -232,11 +231,10 @@ TEST_F(TpchQueryFixture, Q6MatchesReferenceAndPrunesMost) {
               std::abs(expected) * 1e-9 + 1e-9);
   // The relation is sorted by l_shipdate and Q6 selects one year of seven:
   // most row groups must be pruned via min/max statistics (Section 5.3).
-  int64_t pruned = 0, total = 0;
-  for (const auto& wr : report->worker_results) {
-    pruned += wr.metrics.row_groups_pruned();
-    total += wr.metrics.row_groups_total();
-  }
+  const int64_t pruned =
+      report->fleet_metrics.counter(obs::Metric::kRowGroupsPruned);
+  const int64_t total =
+      report->fleet_metrics.counter(obs::Metric::kRowGroupsTotal);
   double frac = static_cast<double>(pruned) / total;
   EXPECT_GT(frac, 0.6);
   EXPECT_LT(frac, 0.95);
@@ -536,9 +534,7 @@ TEST_F(TpchJoinFixture, Q3BothStrategiesMatchTheReference) {
   auto bcast = RunFleetReport(3, 1, core::JoinStrategyOverride::kForceBroadcast);
   // Partitioned runs two-sided exchanges; broadcast runs none.
   auto rounds = [](const core::QueryReport& r) {
-    int64_t n = 0;
-    for (const auto& wr : r.worker_results) n += wr.metrics.exchange_rounds();
-    return n;
+    return r.fleet_metrics.counter(obs::Metric::kExchangeRounds);
   };
   EXPECT_GT(rounds(part), 0);
   EXPECT_EQ(rounds(bcast), 0);
