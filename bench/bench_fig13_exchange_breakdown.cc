@@ -30,7 +30,6 @@ BreakdownResult RunBreakdown(int P, double total_bytes) {
   core::ExchangeSpec spec;
   spec.keys = {"k"};
   spec.levels = 2;
-  spec.write_combining = true;
   spec.num_buckets = 32;
   spec.exchange_id = "fig13";
   LAMBADA_CHECK_OK(core::CreateExchangeBuckets(&cloud.s3(), spec));

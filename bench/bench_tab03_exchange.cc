@@ -26,8 +26,6 @@ double RunExchangeAtScale(int P, double total_bytes, int memory_mib,
   core::ExchangeSpec spec;
   spec.keys = {"k"};
   spec.levels = 2;
-  spec.write_combining = true;
-  spec.offsets_in_name = true;
   spec.num_buckets = num_buckets;
   spec.exchange_id = "tab3";
   LAMBADA_CHECK_OK(core::CreateExchangeBuckets(&cloud.s3(), spec));

@@ -86,6 +86,11 @@ class Cloud {
 
   Rng& driver_rng() { return driver_rng_; }
 
+  /// Hands out query ids "q0", "q1", ... in call order. The keys a query
+  /// id names (its plan objects, its results, its exchange files) are
+  /// per deployment, so every driver on this Cloud draws from here.
+  std::string NextQueryId() { return "q" + std::to_string(next_query_id_++); }
+
   /// The region's fault injector (executes config().fault).
   FaultInjector& fault() { return fault_; }
 
@@ -129,6 +134,7 @@ class Cloud {
   Rng driver_rng_;
   FaultInjector fault_;
   obs::Tracer* tracer_ = nullptr;
+  int64_t next_query_id_ = 0;
 };
 
 }  // namespace lambada::cloud

@@ -183,10 +183,8 @@ class WorkerEnv {
   double data_scale = 1.0;
 
   /// Morsel-driven runtime knobs for this worker's local kernels
-  /// (partition/serde/codec) and its batched exchange I/O. Host-side
-  /// configuration like data_scale: it never travels in payloads, and the
-  /// default is strictly serial, which keeps default virtual-time
-  /// schedules identical to the pre-exec runtime.
+  /// (partition/serde/codec). Host-side configuration like data_scale: it
+  /// never travels in payloads, and the default is strictly serial.
   exec::ExecContext exec;
 
   // -- Serving hooks ---------------------------------------------------------

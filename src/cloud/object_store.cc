@@ -508,20 +508,4 @@ sim::Async<Result<std::vector<ObjectInfo>>> S3Client::List(
   return WithRetries(store_->simulator(), ctx_, std::move(attempt));
 }
 
-sim::Async<Result<BufferPtr>> S3Client::GetWhenAvailable(
-    std::string bucket, std::string key, double poll_interval_s,
-    double timeout_s) {
-  double deadline = store_->simulator()->Now() + timeout_s;
-  while (true) {
-    auto r = co_await store_->Get(ctx_, bucket, key);
-    if (r.ok()) co_return r;
-    if (!r.status().IsNotFound() && !r.status().IsRetriable()) co_return r;
-    if (store_->simulator()->Now() >= deadline) {
-      co_return Status::Timeout("object did not appear: s3://" + bucket +
-                                "/" + key);
-    }
-    co_await sim::Sleep(store_->simulator(), poll_interval_s);
-  }
-}
-
 }  // namespace lambada::cloud

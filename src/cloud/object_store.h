@@ -45,8 +45,8 @@ struct ObjectStoreConfig {
   double put_tail_prob = 0.005;
   double put_tail_scale_s = 1.0;
   double put_tail_alpha = 1.3;
-  /// Maximum key length (S3: 1 KiB), relevant for the write-combining
-  /// variant that encodes offsets in the file name (Section 4.4.3).
+  /// Maximum key length (S3: 1 KiB), relevant for the exchange, which
+  /// encodes part offsets in its file names (Section 4.4.3).
   size_t max_key_bytes = 1024;
 };
 
@@ -195,14 +195,6 @@ class S3Client {
                          double scale = 1.0);
   sim::Async<Result<std::vector<ObjectInfo>>> List(std::string bucket,
                                                    std::string prefix);
-
-  /// Polls Get until the object exists (exchange receivers must "repeat
-  /// reading a file until that file exists"). Non-NotFound errors still
-  /// retry up to the budget; gives up after `timeout_s`.
-  sim::Async<Result<BufferPtr>> GetWhenAvailable(std::string bucket,
-                                                 std::string key,
-                                                 double poll_interval_s,
-                                                 double timeout_s);
 
   const NetContext& ctx() const { return ctx_; }
   ObjectStore* store() { return store_; }

@@ -39,7 +39,7 @@ class Query {
                std::vector<std::string> names) const;
 
   /// Repartitions rows across workers by hash of `keys` using the
-  /// serverless exchange operator; `spec` tunes levels / write combining.
+  /// serverless exchange operator; `spec` sets its levels and buckets.
   Query Repartition(std::vector<std::string> keys,
                     ExchangeSpec spec = ExchangeSpec()) const;
 
@@ -47,7 +47,7 @@ class Query {
   /// probe_keys[i] == build_keys[i]. The planner partitions both sides
   /// through the serverless exchange on their keys, so the join executes
   /// co-partitioned on every worker; `exchange` is the template for both
-  /// sides (levels, buckets, write combining — its keys are ignored).
+  /// sides (levels and buckets — its keys are ignored).
   /// The inner-join output carries the probe columns plus the non-key
   /// build columns: the build keys are dropped (equal to the probe keys
   /// by definition), so downstream ops must reference the probe name.

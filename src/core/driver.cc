@@ -194,7 +194,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                                      : cloud::CostSnapshot{};
   const size_t metrics_before = cloud_->faas().completed_metrics().size();
 
-  const std::string query_id = "q" + std::to_string(next_query_id_++);
+  const std::string query_id = cloud_->NextQueryId();
   // Concurrent queries over one deployment must not steal each other's
   // result messages, so serving mode collects on a per-query queue
   // (workers read the queue name from their payload either way).

@@ -238,7 +238,6 @@ class Driver {
   cloud::Cloud* cloud_;
   DriverOptions options_;
   bool installed_ = false;
-  int64_t next_query_id_ = 0;
 };
 
 }  // namespace lambada::core

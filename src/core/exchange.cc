@@ -12,7 +12,6 @@
 #include "engine/chunk_serde.h"
 #include "engine/partition.h"
 #include "exec/parallel_for.h"
-#include "exec/request_batcher.h"
 
 namespace lambada::core {
 
@@ -112,8 +111,14 @@ Result<std::vector<uint64_t>> DecodeOffsets(const std::string& encoded,
       } else {
         return Status::IOError("bad hex in offsets");
       }
+      if (delta > (std::numeric_limits<uint64_t>::max() >> 4)) {
+        return Status::IOError("offsets overflow");
+      }
       delta = delta * 16 + static_cast<uint64_t>(v);
     }
+    // No wrap-around: the offsets ascend, so every part lies inside
+    // [0, last offset].
+    if (prev + delta < prev) return Status::IOError("offsets overflow");
     prev += delta;
     offsets.push_back(prev);
     i = end + 1;
@@ -124,11 +129,18 @@ Result<std::vector<uint64_t>> DecodeOffsets(const std::string& encoded,
   return offsets;
 }
 
-/// Parses the "s<j>-o..." file names of the offsets-in-name variant,
-/// written by the group's senders j in [0, side). Any other name under the
-/// group's prefix is an IOError naming the key.
-Result<std::pair<int, std::vector<uint64_t>>> ParseCombinedName(
-    const std::string& key, const std::string& prefix, int side) {
+/// One sender's write-combined file of a round, as LIST shows it.
+struct SenderFile {
+  std::string key;
+  int sender = 0;
+  std::vector<uint64_t> offsets;  ///< side + 1 ascending part offsets.
+};
+
+/// Parses the "s<j>-o..." file names written by the group's senders j in
+/// [0, side). Any other name under the group's prefix is an IOError
+/// naming the key.
+Result<SenderFile> ParseCombinedName(const std::string& key,
+                                     const std::string& prefix, int side) {
   auto bad = [&key](const std::string& why) {
     return Status::IOError("bad exchange file name " + key + ": " + why);
   };
@@ -149,7 +161,7 @@ Result<std::pair<int, std::vector<uint64_t>>> ParseCombinedName(
   auto offsets = DecodeOffsets(key.substr(dash + 1),
                                static_cast<size_t>(side) + 1);
   if (!offsets.ok()) return bad(offsets.status().message());
-  return std::make_pair(sender, *std::move(offsets));
+  return SenderFile{key, sender, *std::move(offsets)};
 }
 
 }  // namespace
@@ -239,86 +251,23 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
   auto* sim = env.sim();
   cloud::S3Client client(env.services().s3, env.net());
   const double scale = env.data_scale;
-  // Worker-local runtime: kernels are morsel-parallel, request fan-out is
-  // bounded by io_depth. The default (serial, depth 1) reproduces the
-  // sequential schedule bit for bit; any other setting changes only
-  // timing, never output bytes (deterministic merge order below).
+  // Worker-local kernels are morsel-parallel; requests go out one at a
+  // time, and received slices merge in LIST order, so the thread count
+  // changes neither the request schedule nor any output byte.
   const exec::ExecContext& xc = env.exec;
-  exec::RequestBatcher batcher(sim, xc.io_depth);
   // Round spans parent under the exchange span current at entry; slice
   // retries annotate the active round's "get" span.
   obs::Tracer* tracer = env.tracer();
   const uint64_t ex_span = env.trace_span();
-  uint64_t get_span = 0;
-
-  // Shared wait+read machinery for all three exchange layouts: fetch(i)
-  // returns sender i's raw slice bytes (a null buffer means "nothing for
-  // us", no request issued); this wrapper deserializes and charges
-  // compute per slot, fanned out through the batcher. Results land in
-  // sender-slot order, so the merge is identical to the sequential read
-  // order. An abort flag short-circuits slots not yet started once an
-  // earlier slot fails, like the old sequential loop — and since the
-  // FIFO gate starts slots in order, sentinel slots can only follow the
-  // failing slot, so the first failure is still the one reported.
-  // Per-slot bounded retry: transient statuses (503 SlowDown, injected
+  // Per-slice bounded retry: transient statuses (503 SlowDown, injected
   // 500s) back off and re-fetch instead of failing the whole exchange.
   // Jitter draws happen only on failure, so fault-free schedules consume
   // no extra randomness. Re-fetching is safe at any point: exchange keys
   // are attempt-stable and PUTs are atomic last-writer-wins, so a retried
-  // GET sees either the same bytes or nothing yet (and polls again).
+  // GET sees the same bytes.
   constexpr int kSliceAttempts = 4;
   constexpr double kSliceBackoffS = 0.2;
   constexpr double kSliceBackoffCapS = 2.0;
-  auto read_slices = [&](size_t n, auto fetch)
-      -> sim::Async<Result<std::vector<TableChunk>>> {
-    bool failed = false;
-    std::vector<std::function<sim::Async<Result<TableChunk>>()>> reads;
-    reads.reserve(n);
-    for (size_t i = 0; i < n; ++i) {
-      reads.push_back([&, i]() -> sim::Async<Result<TableChunk>> {
-        if (failed) co_return TableChunk();  // Unattempted slot.
-        auto part = co_await fetch(i);
-        int slice_retries = 0;
-        double backoff = kSliceBackoffS;
-        while (!part.ok() && part.status().IsRetriable() &&
-               slice_retries + 1 < kSliceAttempts) {
-          ++slice_retries;
-          if (tracer != nullptr) {
-            tracer->Instant(get_span, "exchange.slice_retry");
-          }
-          co_await sim::Sleep(sim, std::min(backoff, kSliceBackoffCapS) *
-                                       (0.5 + env.rng().NextDouble()));
-          backoff *= 2;
-          part = co_await fetch(i);
-        }
-        if (!part.ok()) {
-          failed = true;
-          co_return Status(part.status().code(),
-                           part.status().message() +
-                               " (exchange slice gave up after " +
-                               std::to_string(slice_retries) + " retries)");
-        }
-        if (*part == nullptr) co_return TableChunk();  // Empty slice.
-        auto chunk =
-            engine::DeserializeChunk((*part)->data(), (*part)->size(), xc);
-        if (!chunk.ok()) {
-          failed = true;
-          co_return chunk.status();
-        }
-        co_await env.Compute(static_cast<double>((*part)->size()) *
-                             kDeserializeCpuPerByte * scale);
-        co_return *std::move(chunk);
-      });
-    }
-    auto slices = co_await batcher.Run(std::move(reads));
-    std::vector<TableChunk> out;
-    for (auto& slice : slices) {
-      if (!slice.ok()) co_return slice.status();
-      if (slice->num_columns() == 0) continue;  // Empty slice sentinel.
-      out.push_back(*std::move(slice));
-    }
-    co_return out;
-  };
 
   // Key columns resolve lazily from the first chunk that has a schema: a
   // worker whose local input is empty (e.g. the build side of a join when
@@ -404,102 +353,34 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
     // ---- Write ----
     uint64_t put_span = obs::Begin(tracer, round_span, "exchange", "put");
     t0 = sim->Now();
-    // Crash site 2 (armed here, fires mid-write below): some attempt-stable
-    // slices land, then the handler dies without a result message. The
-    // re-invoked attempt rewrites every slice with identical bytes
-    // (deterministic serialization + atomic last-writer-wins PUT), so a
-    // reader that already consumed a first-attempt slice saw exactly the
-    // bytes the retry writes — torn state is unobservable.
+    // Crash site 2 (armed here, fires right after the PUT below): the
+    // attempt-stable file lands, then the handler dies without a result
+    // message. The re-invoked attempt rewrites it with identical bytes
+    // under the same name (deterministic serialization + atomic
+    // last-writer-wins PUT), so a reader that already consumed a
+    // first-attempt slice saw exactly the bytes the retry writes — torn
+    // state is unobservable.
     const bool crash_mid_writes =
         env.MaybeCrash(cloud::CrashSite::kDuringExchangeWrites);
-    std::vector<uint64_t> my_offsets;
-    if (spec.write_combining) {
-      auto combined = engine::SerializeChunksCombined(parts, xc);
-      my_offsets = combined.offsets;
-      co_await env.Compute(static_cast<double>(combined.bytes.size()) *
-                           kSerializeCpuPerByte * scale);
-      std::string key;
-      if (spec.offsets_in_name) {
-        key = prefix + "s" + std::to_string(my_j) + "-" +
-              EncodeOffsets(combined.offsets);
-        if (key.size() > env.services().s3->config().max_key_bytes) {
-          co_return Status::Invalid(
-              "write-combined file name exceeds the 1 KiB key limit; use "
-              "the offsets-file variant for groups this large");
-        }
-      } else {
-        key = prefix + "s" + std::to_string(my_j) + "-data";
-      }
-      const int64_t combined_bytes =
-          static_cast<int64_t>(combined.bytes.size());
-      Status put = co_await client.Put(
-          bucket, key, Buffer::FromVector(std::move(combined.bytes)));
-      if (!put.ok()) co_return put;
-      m.registry.Add(obs::Metric::kExchangePutRequests, 1);
-      m.registry.Add(obs::Metric::kExchangeBytesWritten, combined_bytes);
-      if (crash_mid_writes) {
-        // Dies between the data PUT and the idx PUT (or, with offsets in
-        // the name, right after the single PUT): readers keep polling for
-        // the missing idx until the retry attempt supplies it.
-        co_return Status::Cancelled(
-            "injected worker crash during exchange writes (fault plan)");
-      }
-      if (!spec.offsets_in_name) {
-        BinaryWriter w;
-        for (uint64_t off : combined.offsets) w.PutU64(off);
-        auto idx_bytes = w.Take();
-        m.registry.Add(obs::Metric::kExchangeBytesWritten,
-                       static_cast<int64_t>(idx_bytes.size()));
-        Status idx = co_await client.Put(
-            bucket, prefix + "s" + std::to_string(my_j) + "-idx",
-            Buffer::FromVector(std::move(idx_bytes)));
-        if (!idx.ok()) co_return idx;
-        m.registry.Add(obs::Metric::kExchangePutRequests, 1);
-      }
-    } else {
-      // One file per receiver: serialize + charge + PUT per slot, fanned
-      // out with bounded depth (slot order == the old sequential order).
-      // The abort flag short-circuits like the old sequential loop did:
-      // slots not yet started when an earlier slot fails return
-      // immediately (zero virtual time), and only started requests — at
-      // most `depth` — still run out.
-      bool put_failed = false;
-      bool crashed_mid = false;
-      std::vector<std::function<sim::Async<Status>()>> puts;
-      puts.reserve(static_cast<size_t>(side));
-      for (int j = 0; j < side; ++j) {
-        puts.push_back([&, j]() -> sim::Async<Status> {
-          // Unattempted slot (earlier failure or mid-write crash).
-          if (put_failed || crashed_mid) co_return Status::OK();
-          auto blob =
-              engine::SerializeChunk(parts[static_cast<size_t>(j)], xc);
-          co_await env.Compute(static_cast<double>(blob.size()) *
-                               kSerializeCpuPerByte * scale);
-          const int64_t blob_bytes = static_cast<int64_t>(blob.size());
-          Status put = co_await client.Put(
-              bucket,
-              prefix + "s" + std::to_string(my_j) + "r" + std::to_string(j),
-              Buffer::FromVector(std::move(blob)));
-          if (put.ok()) {
-            m.registry.Add(obs::Metric::kExchangePutRequests, 1);
-            m.registry.Add(obs::Metric::kExchangeBytesWritten, blob_bytes);
-            // Die halfway through the receiver slots: slots already in
-            // flight still land, later ones never start.
-            if (crash_mid_writes && j == side / 2) crashed_mid = true;
-          } else {
-            put_failed = true;
-          }
-          co_return put;
-        });
-      }
-      auto statuses = co_await batcher.Run(std::move(puts));
-      for (const Status& put : statuses) {
-        if (!put.ok()) co_return put;
-      }
-      if (crashed_mid) {
-        co_return Status::Cancelled(
-            "injected worker crash during exchange writes (fault plan)");
-      }
+    auto combined = engine::SerializeChunksCombined(parts, xc);
+    co_await env.Compute(static_cast<double>(combined.bytes.size()) *
+                         kSerializeCpuPerByte * scale);
+    const std::string key = prefix + "s" + std::to_string(my_j) + "-" +
+                            EncodeOffsets(combined.offsets);
+    if (key.size() > env.services().s3->config().max_key_bytes) {
+      co_return Status::Invalid(
+          "write-combined file name exceeds the 1 KiB key limit; use more "
+          "exchange levels for groups this large");
+    }
+    const int64_t combined_bytes = static_cast<int64_t>(combined.bytes.size());
+    Status put = co_await client.Put(
+        bucket, key, Buffer::FromVector(std::move(combined.bytes)));
+    if (!put.ok()) co_return put;
+    m.registry.Add(obs::Metric::kExchangePutRequests, 1);
+    m.registry.Add(obs::Metric::kExchangeBytesWritten, combined_bytes);
+    if (crash_mid_writes) {
+      co_return Status::Cancelled(
+          "injected worker crash during exchange writes (fault plan)");
     }
     parts.clear();
     round.write_s = sim->Now() - t0;
@@ -514,116 +395,101 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
     }
 
     // ---- Wait + read ----
-    get_span = obs::Begin(tracer, round_span, "exchange", "get");
+    const uint64_t get_span =
+        obs::Begin(tracer, round_span, "exchange", "get");
     t0 = sim->Now();
-    std::vector<TableChunk> received;
-    if (spec.write_combining && spec.offsets_in_name) {
-      // Discover sender files via LIST until all group members appear
-      // ("they may need to repeat a few times until they see the files
-      // produced by all senders").
-      uint64_t barrier_span = obs::Begin(tracer, get_span, "exchange",
-                                         "barrier");
-      std::vector<std::pair<int, std::vector<uint64_t>>> senders;
-      std::vector<std::string> keys_found;
-      double deadline = sim->Now() + kTimeoutS;
-      while (true) {
-        auto listing = co_await client.List(bucket, prefix);
-        m.registry.Add(obs::Metric::kExchangeListRequests, 1);
-        if (!listing.ok()) co_return listing.status();
-        senders.clear();
-        keys_found.clear();
-        for (const auto& obj : *listing) {
-          // A foreign name never turns into a sender file: fail now
-          // rather than poll until the timeout.
-          auto parsed = ParseCombinedName(obj.key, prefix, side);
-          if (!parsed.ok()) co_return parsed.status();
-          senders.push_back(*parsed);
-          keys_found.push_back(obj.key);
+    // Discover sender files via LIST until all group members appear
+    // ("they may need to repeat a few times until they see the files
+    // produced by all senders").
+    const uint64_t barrier_span =
+        obs::Begin(tracer, get_span, "exchange", "barrier");
+    std::vector<SenderFile> senders;  // In LIST order.
+    const double deadline = sim->Now() + kTimeoutS;
+    while (true) {
+      auto listing = co_await client.List(bucket, prefix);
+      m.registry.Add(obs::Metric::kExchangeListRequests, 1);
+      if (!listing.ok()) co_return listing.status();
+      senders.clear();
+      // Index into `senders` of each sender's file, -1 until listed.
+      std::vector<int> listed(static_cast<size_t>(side), -1);
+      for (const auto& obj : *listing) {
+        // A file no sender of this round wrote never completes the
+        // barrier: fail now rather than poll until the timeout. Its name
+        // must parse, its last offset (the file's size, scaled the way the
+        // object store scales the PUT) must match the listed size, and no
+        // sender may have two files.
+        auto file = ParseCombinedName(obj.key, prefix, side);
+        if (!file.ok()) co_return file.status();
+        if (std::trunc(static_cast<double>(file->offsets.back()) * scale) !=
+            static_cast<double>(obj.size)) {
+          co_return Status::IOError(
+              "exchange file " + obj.key + ": LIST reports " +
+              std::to_string(obj.size) + " bytes, its offsets end at " +
+              std::to_string(file->offsets.back()));
         }
-        if (senders.size() == static_cast<size_t>(side)) break;
-        if (sim->Now() >= deadline) {
-          co_return Status::Timeout("exchange: senders missing in phase " +
-                                    std::to_string(phase));
+        int& slot = listed[static_cast<size_t>(file->sender)];
+        if (slot >= 0) {
+          co_return Status::IOError(
+              "two exchange files for sender " +
+              std::to_string(file->sender) + ": " +
+              senders[static_cast<size_t>(slot)].key + " and " + obj.key);
         }
-        co_await sim::Sleep(sim, kPollIntervalS);
+        slot = static_cast<int>(senders.size());
+        senders.push_back(*std::move(file));
       }
-      round.wait_s = sim->Now() - t0;
-      obs::End(tracer, barrier_span);
-      t0 = sim->Now();
-      // Ranged GET per sender; offsets came with the LISTed names.
-      auto fetch = [&](size_t i) -> sim::Async<Result<BufferPtr>> {
-        const auto& offsets = senders[i].second;
-        uint64_t begin = offsets[static_cast<size_t>(my_j)];
-        uint64_t end = offsets[static_cast<size_t>(my_j) + 1];
-        if (end <= begin) co_return BufferPtr();
-        auto part = co_await client.Get(bucket, keys_found[i],
-                                        static_cast<int64_t>(begin),
-                                        static_cast<int64_t>(end - begin));
-        if (part.ok()) {
-          m.registry.Add(obs::Metric::kExchangeGetRequests, 1);
-          m.registry.Add(obs::Metric::kExchangeBytesRead,
-                         static_cast<int64_t>(end - begin));
-        }
-        co_return part;
+      if (senders.size() == static_cast<size_t>(side)) break;
+      if (sim->Now() >= deadline) {
+        co_return Status::Timeout("exchange: senders missing in phase " +
+                                  std::to_string(phase));
+      }
+      co_await sim::Sleep(sim, kPollIntervalS);
+    }
+    round.wait_s = sim->Now() - t0;
+    obs::End(tracer, barrier_span);
+    t0 = sim->Now();
+    // One ranged GET per sender, one after another in LIST order (the
+    // merge follows it); offsets came with the listed names. A sender
+    // with nothing for this receiver costs no request.
+    std::vector<TableChunk> received;
+    for (const SenderFile& file : senders) {
+      const uint64_t begin = file.offsets[static_cast<size_t>(my_j)];
+      const uint64_t end = file.offsets[static_cast<size_t>(my_j) + 1];
+      if (end <= begin) continue;
+      auto fetch = [&] {
+        return client.Get(bucket, file.key, static_cast<int64_t>(begin),
+                          static_cast<int64_t>(end - begin));
       };
-      auto slices = co_await read_slices(senders.size(), fetch);
-      if (!slices.ok()) co_return slices.status();
-      received = *std::move(slices);
-    } else if (spec.write_combining) {
-      // Offsets in a separate file: doubles the read requests. Each
-      // sender's idx-poll + ranged data GET runs as one batched slot.
-      auto fetch = [&](size_t i) -> sim::Async<Result<BufferPtr>> {
-        int j = static_cast<int>(i);
-        auto idx = co_await client.GetWhenAvailable(
-            bucket, prefix + "s" + std::to_string(j) + "-idx",
-            kPollIntervalS, kTimeoutS);
-        if (!idx.ok()) co_return idx.status();
-        m.registry.Add(obs::Metric::kExchangeGetRequests, 1);
-        m.registry.Add(obs::Metric::kExchangeBytesRead,
-                       static_cast<int64_t>((*idx)->size()));
-        BinaryReader r((*idx)->data(), (*idx)->size());
-        std::vector<uint64_t> offsets;
-        for (int k = 0; k <= side; ++k) {
-          auto off = r.GetU64();
-          if (!off.ok()) co_return off.status();
-          offsets.push_back(*off);
+      auto part = co_await fetch();
+      int slice_retries = 0;
+      double backoff = kSliceBackoffS;
+      while (!part.ok() && part.status().IsRetriable() &&
+             slice_retries + 1 < kSliceAttempts) {
+        ++slice_retries;
+        if (tracer != nullptr) {
+          tracer->Instant(get_span, "exchange.slice_retry");
         }
-        uint64_t begin = offsets[static_cast<size_t>(my_j)];
-        uint64_t end = offsets[static_cast<size_t>(my_j) + 1];
-        if (end <= begin) co_return BufferPtr();
-        auto part = co_await client.Get(
-            bucket, prefix + "s" + std::to_string(j) + "-data",
-            static_cast<int64_t>(begin), static_cast<int64_t>(end - begin));
-        if (part.ok()) {
-          m.registry.Add(obs::Metric::kExchangeGetRequests, 1);
-          m.registry.Add(obs::Metric::kExchangeBytesRead,
-                         static_cast<int64_t>(end - begin));
-        }
-        co_return part;
-      };
-      auto slices = co_await read_slices(static_cast<size_t>(side), fetch);
-      if (!slices.ok()) co_return slices.status();
-      received = *std::move(slices);
-    } else {
-      // BasicExchange: one file per (sender, receiver) pair, polled per
-      // batched slot.
-      auto fetch = [&](size_t i) -> sim::Async<Result<BufferPtr>> {
-        auto part = co_await client.GetWhenAvailable(
-            bucket,
-            prefix + "s" + std::to_string(i) + "r" + std::to_string(my_j),
-            kPollIntervalS, kTimeoutS);
-        if (part.ok()) {
-          m.registry.Add(obs::Metric::kExchangeGetRequests, 1);
-          if (*part != nullptr) {
-            m.registry.Add(obs::Metric::kExchangeBytesRead,
-                           static_cast<int64_t>((*part)->size()));
-          }
-        }
-        co_return part;
-      };
-      auto slices = co_await read_slices(static_cast<size_t>(side), fetch);
-      if (!slices.ok()) co_return slices.status();
-      received = *std::move(slices);
+        co_await sim::Sleep(sim, std::min(backoff, kSliceBackoffCapS) *
+                                     (0.5 + env.rng().NextDouble()));
+        backoff *= 2;
+        part = co_await fetch();
+      }
+      if (!part.ok()) {
+        co_return Status(part.status().code(),
+                         part.status().message() +
+                             " (exchange slice gave up after " +
+                             std::to_string(slice_retries) + " retries)");
+      }
+      m.registry.Add(obs::Metric::kExchangeGetRequests, 1);
+      m.registry.Add(obs::Metric::kExchangeBytesRead,
+                     static_cast<int64_t>(end - begin));
+      auto chunk =
+          engine::DeserializeChunk((*part)->data(), (*part)->size(), xc);
+      if (!chunk.ok()) co_return chunk.status();
+      co_await env.Compute(static_cast<double>((*part)->size()) *
+                           kDeserializeCpuPerByte * scale);
+      // A slice of a sender that had no schema yet carries no columns.
+      if (chunk->num_columns() == 0) continue;
+      received.push_back(*std::move(chunk));
     }
     auto merged = engine::ConcatChunks(received);
     if (!merged.ok()) co_return merged.status();
@@ -637,7 +503,6 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
     }
     round.read_s = sim->Now() - t0;
     obs::End(tracer, get_span);
-    get_span = 0;
     if (round_span != 0) {
       tracer->AddArgF(round_span, "partition_s", round.partition_s);
       tracer->AddArgF(round_span, "write_s", round.write_s);

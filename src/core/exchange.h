@@ -45,9 +45,13 @@ int LargestFactorizableWorkerCount(int P, int levels);
 /// `P`: hash-partitions `input` by `spec.keys`, shuffles through S3 in
 /// `spec.levels` rounds, and returns all rows whose hash partition is `p`.
 ///
-/// Workers communicate only through the object store: writers PUT
-/// partition files (optionally write-combined with offsets encoded in the
-/// file name), readers poll (LIST or GET) until the senders' files exist.
+/// Workers communicate only through the object store: each round, every
+/// sender PUTs one write-combined file with its part offsets encoded in
+/// the name; every receiver polls LIST until each sender of its group has
+/// a file, then reads its slices with ranged GETs, one request at a time
+/// in LIST order. A listed file that no sender wrote (its name does not
+/// parse, its offsets disagree with its listed size, or its sender
+/// already has a file) fails the receiver with an IOError naming the key.
 ///
 /// `input` may be a schema-less empty chunk (zero columns): the worker
 /// then still writes its (empty) slices every round — so no receiver ever
@@ -66,6 +70,8 @@ Status CreateExchangeBuckets(cloud::ObjectStore* s3,
 
 /// Analytic request counts per Table 2, used by tests and the Figure 9
 /// cost model: reads/writes/lists issued by ALL P workers together.
+/// `write_combining` = false models BasicExchange (one file per sender
+/// and receiver), which RunExchange itself does not run.
 struct ExchangeRequestCounts {
   double reads = 0;
   double writes = 0;

@@ -227,8 +227,7 @@ StrategyDecision DecideStrategy(const EdgeInfo& e, const Est& in,
   StrategyDecision d;
   int workers = std::max(1, opt.workers);
   d.partitioned = models::PartitionedExchangeTraffic(
-      in.bytes, e.bytes, workers, e.spec.build_exchange.levels,
-      e.spec.build_exchange.write_combining);
+      in.bytes, e.bytes, workers, e.spec.build_exchange.levels);
   bool broadcast_known = opt.workers > 0 && e.raw_bytes > 0;
   if (broadcast_known) {
     d.broadcast = models::BroadcastTraffic(e.raw_bytes, e.files, opt.workers);

@@ -47,8 +47,6 @@ Result<PlanOp> DeserializePlanOpBody(PlanOp::Kind kind, BinaryReader* r,
 void ExchangeSpec::Serialize(BinaryWriter* w) const {
   PutStringVec(w, keys);
   w->PutU8(static_cast<uint8_t>(levels));
-  w->PutU8(write_combining ? 1 : 0);
-  w->PutU8(offsets_in_name ? 1 : 0);
   w->PutU32(static_cast<uint32_t>(num_buckets));
   w->PutString(bucket_prefix);
   w->PutString(exchange_id);
@@ -60,10 +58,6 @@ Result<ExchangeSpec> ExchangeSpec::Deserialize(BinaryReader* r) {
   ASSIGN_OR_RETURN(uint8_t levels, r->GetU8());
   if (levels < 1 || levels > 3) return Status::IOError("bad exchange levels");
   s.levels = levels;
-  ASSIGN_OR_RETURN(uint8_t wc, r->GetU8());
-  s.write_combining = wc != 0;
-  ASSIGN_OR_RETURN(uint8_t oin, r->GetU8());
-  s.offsets_in_name = oin != 0;
   ASSIGN_OR_RETURN(uint32_t buckets, r->GetU32());
   if (buckets == 0 ||
       buckets > static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {

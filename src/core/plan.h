@@ -51,14 +51,10 @@ inline constexpr int kMaxPlanDepth = 8;
 struct ExchangeSpec {
   /// Partition key column names (hash partitioning).
   std::vector<std::string> keys;
-  /// 1 = BasicExchange, 2 = TwoLevelExchange, 3 = three-level.
+  /// Exchange rounds: 1 = a single-level exchange, 2 = TwoLevelExchange,
+  /// 3 = three-level. Every round is write-combined: each sender writes
+  /// one file with its part offsets in the name (Section 4.4.3).
   int levels = 2;
-  /// Write all partitions of one sender into a single file (Section 4.4.3).
-  bool write_combining = true;
-  /// With write combining: encode part offsets in the file name and
-  /// discover files via LIST (true), or write a separate offsets file and
-  /// read it per sender (false).
-  bool offsets_in_name = true;
   /// Intermediate files are spread over this many buckets
   /// ("{bucket_prefix}-{i}"), multiplying the S3 rate limit (Section 4.4.1).
   int num_buckets = 10;

@@ -41,7 +41,9 @@ struct ServingOptions {
   /// DynamoDB table of the metadata cache (cloud/meta_cache.h).
   std::string meta_table = "lambada-meta-cache";
   /// Serving deployments get their own function family and result-queue
-  /// namespace so a solo Driver next to a QueryService never collides.
+  /// namespace. Together with the per-deployment query ids
+  /// (cloud::Cloud::NextQueryId), which keep plan, result and exchange
+  /// keys apart, a solo Driver next to a QueryService never collides.
   std::string function_prefix = "lambada-sw";
   std::string result_queue = "lambada-sw-results";
   /// Morsel-runtime knobs for every worker this service starts.

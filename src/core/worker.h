@@ -14,9 +14,8 @@ namespace lambada::core {
 /// queue in SQS.
 ///
 /// `exec` configures the worker-local morsel runtime (host-side like
-/// data_scale: it never travels in payloads). The serial default keeps
-/// virtual-time schedules identical to the single-threaded runtime; any
-/// other setting changes timing only, never result bytes.
+/// data_scale: it never travels in payloads). No setting changes result
+/// bytes or the virtual-time schedule.
 cloud::Handler MakeWorkerHandler(exec::ExecContext exec = {});
 
 }  // namespace lambada::core

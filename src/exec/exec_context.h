@@ -9,12 +9,10 @@ class ThreadPool;
 
 /// Per-worker execution knobs for the morsel-driven runtime.
 ///
-/// The default context is strictly serial (one thread, depth-1 I/O): every
-/// kernel then runs inline on the calling thread and every batched request
-/// sequence degenerates to the sequential schedule. This is what keeps the
-/// committed sim-deterministic BENCH_*.json figures stable — parallelism
-/// is opt-in per worker, and by construction changes neither kernel output
-/// bytes nor (at io_depth 1) virtual-time request schedules.
+/// The default context is strictly serial: every kernel then runs inline
+/// on the calling thread. Parallelism is opt-in per worker and by
+/// construction changes no kernel output byte. Host threads never touch
+/// virtual time, so no setting here moves a request schedule.
 struct ExecContext {
   /// Worker-local kernel threads. <= 1 means run inline, no pool involved.
   int num_threads = 1;
@@ -24,10 +22,6 @@ struct ExecContext {
   /// so per-morsel results, and anything folded from them in morsel order,
   /// are identical for 1, 2, or 64 threads.
   int64_t morsel_rows = 16 * 1024;
-
-  /// Bound on in-flight object-store requests fanned out by a
-  /// RequestBatcher. 1 reproduces the sequential request schedule exactly.
-  int io_depth = 1;
 
   /// Pool to run on; nullptr uses ThreadPool::Shared() when
   /// num_threads > 1. Borrowed, never owned.

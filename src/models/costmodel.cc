@@ -65,7 +65,7 @@ double PriceTraffic(TrafficEstimate* t, const ExchangeTrafficParams& p) {
 
 TrafficEstimate PartitionedExchangeTraffic(double probe_bytes,
                                            double build_bytes, int workers,
-                                           int levels, bool write_combining,
+                                           int levels,
                                            const ExchangeTrafficParams& p) {
   TrafficEstimate t;
   double P = workers < 1 ? 1.0 : static_cast<double>(workers);
@@ -73,10 +73,9 @@ TrafficEstimate PartitionedExchangeTraffic(double probe_bytes,
   // Each round rewrites and rereads the full input of its side.
   t.bytes = 2.0 * L * (probe_bytes + build_bytes);
   // Table 2: with write combining each worker writes one file per round;
-  // readers poll ~P^(1/levels) senders per round. Without combining the
-  // writers fan out to the same per-round factor.
+  // readers poll ~P^(1/levels) senders per round.
   double fanout = std::ceil(std::pow(P, 1.0 / L));
-  double per_side_puts = write_combining ? L * P : L * P * fanout;
+  double per_side_puts = L * P;
   double per_side_gets = L * P * fanout;
   t.put_requests = 2.0 * per_side_puts;
   t.get_requests = 2.0 * per_side_gets;

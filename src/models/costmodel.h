@@ -90,13 +90,13 @@ struct TrafficEstimate {
 };
 
 /// A partitioned join's traffic: both sides traverse a `levels`-round
-/// hash exchange over `workers` — every input byte is written and read
-/// once per round, and the request counts follow Table 2 of the paper
-/// (write-combined: levels*P PUTs and <= levels*P*ceil(P^(1/levels))
-/// GETs per side; without combining the PUTs fan out like the GETs).
+/// write-combined hash exchange over `workers` — every input byte is
+/// written and read once per round, and the request counts follow Table 2
+/// of the paper (levels*P PUTs and <= levels*P*ceil(P^(1/levels)) GETs
+/// per side).
 TrafficEstimate PartitionedExchangeTraffic(
     double probe_bytes, double build_bytes, int workers, int levels,
-    bool write_combining, const ExchangeTrafficParams& p = {});
+    const ExchangeTrafficParams& p = {});
 
 /// A broadcast join's traffic: every worker reads the whole build
 /// relation (build_bytes * workers GETs-side bytes, ~2 requests per file

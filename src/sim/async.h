@@ -136,7 +136,7 @@ class [[nodiscard]] Async<void> {
 
 namespace internal {
 
-/// Self-destroying detached coroutine used by Spawn/WhenAll wrappers.
+/// Self-destroying detached coroutine used by Spawn/WhenAllVoid wrappers.
 struct DetachedTask {
   struct promise_type {
     DetachedTask get_return_object() { return {}; }
@@ -209,22 +209,6 @@ class Event {
 
 namespace internal {
 
-template <typename T>
-struct WhenAllState {
-  explicit WhenAllState(Simulator* sim, size_t n)
-      : pending(n), done(sim), results(n) {}
-  size_t pending;
-  Event done;
-  std::vector<std::optional<T>> results;
-};
-
-template <typename T>
-DetachedTask WhenAllRunner(Async<T> task, std::shared_ptr<WhenAllState<T>> st,
-                           size_t index) {
-  st->results[index].emplace(co_await std::move(task));
-  if (--st->pending == 0) st->done.Set();
-}
-
 struct WhenAllVoidState {
   explicit WhenAllVoidState(Simulator* sim, size_t n)
       : pending(n), done(sim) {}
@@ -241,23 +225,6 @@ inline DetachedTask WhenAllVoidRunner(Async<void> task,
 }  // namespace internal
 
 /// Runs all tasks concurrently; completes when every task has completed.
-/// Results are returned in input order.
-template <typename T>
-Async<std::vector<T>> WhenAll(Simulator* sim, std::vector<Async<T>> tasks) {
-  auto st =
-      std::make_shared<internal::WhenAllState<T>>(sim, tasks.size());
-  if (tasks.empty()) st->done.Set();
-  for (size_t i = 0; i < tasks.size(); ++i) {
-    internal::WhenAllRunner(std::move(tasks[i]), st, i);
-  }
-  co_await st->done.Wait();
-  std::vector<T> out;
-  out.reserve(st->results.size());
-  for (auto& r : st->results) out.push_back(std::move(*r));
-  co_return out;
-}
-
-/// void overload of WhenAll.
 inline Async<void> WhenAllVoid(Simulator* sim,
                                std::vector<Async<void>> tasks) {
   auto st =

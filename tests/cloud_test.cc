@@ -149,37 +149,6 @@ TEST(ObjectStoreTest, S3ClientRetriesThroughSlowDown) {
   EXPECT_EQ(failures, 0);
 }
 
-TEST(ObjectStoreTest, GetWhenAvailablePollsUntilPut) {
-  Cloud cloud;
-  ASSERT_TRUE(cloud.s3().CreateBucket("b").ok());
-  std::string got;
-  RunOnCloud(cloud, [&](Cloud* c) -> Async<void> {
-    // A writer that publishes late.
-    Spawn([](Cloud* cl) -> Async<void> {
-      co_await sim::Sleep(&cl->sim(), 2.0);
-      co_await cl->s3().Put(cl->driver_net(), "b", "late",
-                            Buffer::FromString("v"));
-    }(c));
-    S3Client client(&c->s3(), c->driver_net());
-    auto r = co_await client.GetWhenAvailable("b", "late", 0.1, 10.0);
-    if (r.ok()) got = (*r)->ToString();
-  });
-  EXPECT_EQ(got, "v");
-  EXPECT_GE(cloud.sim().Now(), 2.0);
-}
-
-TEST(ObjectStoreTest, GetWhenAvailableTimesOut) {
-  Cloud cloud;
-  ASSERT_TRUE(cloud.s3().CreateBucket("b").ok());
-  Status s = Status::OK();
-  RunOnCloud(cloud, [&](Cloud* c) -> Async<void> {
-    S3Client client(&c->s3(), c->driver_net());
-    auto r = co_await client.GetWhenAvailable("b", "never", 0.1, 1.0);
-    s = r.status();
-  });
-  EXPECT_EQ(s.code(), StatusCode::kTimeout);
-}
-
 TEST(ObjectStoreTest, ListReturnsPrefixedKeysSorted) {
   Cloud cloud;
   ASSERT_TRUE(cloud.s3().CreateBucket("b").ok());

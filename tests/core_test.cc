@@ -720,8 +720,6 @@ void CheckExchangeCorrect(int P, const ExchangeResult& r,
 
 struct ExchangeVariant {
   int levels;
-  bool write_combining;
-  bool offsets_in_name;
   int P;
 };
 
@@ -730,20 +728,13 @@ class ExchangeVariantTest
 
 INSTANTIATE_TEST_SUITE_P(
     Variants, ExchangeVariantTest,
-    ::testing::Values(ExchangeVariant{1, false, false, 9},
-                      ExchangeVariant{1, true, true, 9},
-                      ExchangeVariant{2, false, false, 16},
-                      ExchangeVariant{2, true, true, 16},
-                      ExchangeVariant{2, true, false, 16},
-                      ExchangeVariant{2, true, true, 20},   // Non-square.
-                      ExchangeVariant{3, true, true, 27},
-                      ExchangeVariant{3, true, true, 30}),  // Mixed radix.
+    ::testing::Values(ExchangeVariant{1, 9}, ExchangeVariant{2, 16},
+                      ExchangeVariant{2, 20},   // Non-square.
+                      ExchangeVariant{3, 27},
+                      ExchangeVariant{3, 30}),  // Mixed radix.
     [](const auto& info) {
       const auto& v = info.param;
-      return std::to_string(v.levels) + "l" +
-             (v.write_combining ? "wc" : "") +
-             (v.offsets_in_name ? "names" : "idx") + "P" +
-             std::to_string(v.P);
+      return std::to_string(v.levels) + "lP" + std::to_string(v.P);
     });
 
 TEST_P(ExchangeVariantTest, AllRowsReachTheirPartition) {
@@ -751,39 +742,32 @@ TEST_P(ExchangeVariantTest, AllRowsReachTheirPartition) {
   ExchangeSpec spec;
   spec.keys = {"k"};
   spec.levels = v.levels;
-  spec.write_combining = v.write_combining;
-  spec.offsets_in_name = v.offsets_in_name;
   spec.num_buckets = 4;
   auto result = RunExchangeExperiment(v.P, spec, 100);
   CheckExchangeCorrect(v.P, result, 100);
 }
 
 TEST(ExchangeTest, ParallelRuntimeProducesIdenticalOutput) {
-  // The morsel-parallel kernels plus depth-bounded request batching must
-  // deliver the same rows in the same order as the serial runtime: the
-  // per-worker outputs are compared serialized, byte for byte.
-  for (auto variant : {std::pair<int, bool>{1, false},
-                       std::pair<int, bool>{2, true},
-                       std::pair<int, bool>{2, false}}) {
+  // The morsel-parallel kernels must deliver the same rows in the same
+  // order as the serial runtime: the per-worker outputs are compared
+  // serialized, byte for byte.
+  for (int levels : {1, 2}) {
     ExchangeSpec spec;
     spec.keys = {"k"};
-    spec.levels = variant.first;
-    spec.write_combining = variant.second;
+    spec.levels = levels;
     spec.num_buckets = 4;
     auto sequential = RunExchangeExperiment(16, spec, 150);
     ASSERT_TRUE(sequential.status.ok()) << sequential.status.ToString();
 
-    exec::ExecContext parallel = exec::ExecContext::Parallel(4, 64);
-    parallel.io_depth = 4;
-    auto batched = RunExchangeExperiment(16, spec, 150, parallel);
-    ASSERT_TRUE(batched.status.ok()) << batched.status.ToString();
+    auto parallel = RunExchangeExperiment(16, spec, 150,
+                                          exec::ExecContext::Parallel(4, 64));
+    ASSERT_TRUE(parallel.status.ok()) << parallel.status.ToString();
 
     for (int p = 0; p < 16; ++p) {
       EXPECT_EQ(
           engine::SerializeChunk(sequential.outputs[static_cast<size_t>(p)]),
-          engine::SerializeChunk(batched.outputs[static_cast<size_t>(p)]))
-          << "worker " << p << " levels " << variant.first << " wc "
-          << variant.second;
+          engine::SerializeChunk(parallel.outputs[static_cast<size_t>(p)]))
+          << "worker " << p << " levels " << levels;
     }
   }
 }
@@ -792,118 +776,160 @@ TEST(ExchangeTest, RequestCountsMatchModel) {
   // 2l-wc on a 16-worker grid: Table 2 predicts 2*P*sqrt(P) reads
   // (= 128 GETs) and 2P writes (= 32 PUTs). Our implementation skips GETs
   // for empty slices, so reads are bounded above by the model.
-  for (bool wc : {false, true}) {
-    cloud::CloudConfig cfg;
-    ExchangeSpec spec;
-    spec.keys = {"k"};
-    spec.levels = 2;
-    spec.write_combining = wc;
-    spec.num_buckets = 4;
-    auto before_counts = [] {};
-    cloud::Cloud cloud(cfg);
-    (void)before_counts;
-    LAMBADA_CHECK_OK(CreateExchangeBuckets(&cloud.s3(), spec));
-    // Re-run the experiment inline to capture this cloud's ledger.
-    // (RunExchangeExperiment owns its own cloud, so replicate briefly.)
-    spec.exchange_id = "cnt-x";
-    const int P = 16;
-    auto schema = std::make_shared<Schema>(std::vector<Field>{
-        {"k", DataType::kInt64}});
-    cloud::FunctionConfig fn;
-    fn.name = "xw";
-    fn.memory_mib = 2048;
-    fn.handler = [&, schema](cloud::WorkerEnv& env,
-                             std::string payload) -> sim::Async<Status> {
-      int p = std::stoi(payload);
-      std::vector<int64_t> keys;
-      for (int i = 0; i < 500; ++i) {
-        keys.push_back(static_cast<int64_t>(p) * 500 + i);
-      }
-      TableChunk input(schema, {Column::Int64(std::move(keys))});
-      auto out = co_await RunExchange(env, spec, p, P, std::move(input));
-      co_return out.ok() ? Status::OK() : out.status();
-    };
-    LAMBADA_CHECK_OK(cloud.faas().CreateFunction(fn));
-    for (int p = 0; p < P; ++p) {
-      sim::Spawn([](cloud::Cloud* c, int worker) -> sim::Async<void> {
-        co_await c->faas().Invoke(c->driver_invoker_profile(),
-                                  &c->driver_rng(), "xw",
-                                  std::to_string(worker));
-      }(&cloud, p));
+  cloud::Cloud cloud;
+  ExchangeSpec spec;
+  spec.keys = {"k"};
+  spec.levels = 2;
+  spec.num_buckets = 4;
+  LAMBADA_CHECK_OK(CreateExchangeBuckets(&cloud.s3(), spec));
+  // Re-run the experiment inline to capture this cloud's ledger.
+  // (RunExchangeExperiment owns its own cloud, so replicate briefly.)
+  spec.exchange_id = "cnt-x";
+  const int P = 16;
+  auto schema = std::make_shared<Schema>(std::vector<Field>{
+      {"k", DataType::kInt64}});
+  cloud::FunctionConfig fn;
+  fn.name = "xw";
+  fn.memory_mib = 2048;
+  fn.handler = [&, schema](cloud::WorkerEnv& env,
+                           std::string payload) -> sim::Async<Status> {
+    int p = std::stoi(payload);
+    std::vector<int64_t> keys;
+    for (int i = 0; i < 500; ++i) {
+      keys.push_back(static_cast<int64_t>(p) * 500 + i);
     }
-    cloud.sim().Run();
-    EXPECT_EQ(cloud.faas().failed_handlers(), 0);
-    auto t = cloud.ledger().totals();
-    auto model = PredictExchangeRequests(P, 2, wc);
-    if (wc) {
-      EXPECT_EQ(t.s3_put_requests, static_cast<int64_t>(model.writes));
-      EXPECT_LE(t.s3_get_requests, static_cast<int64_t>(model.reads));
-      EXPECT_GT(t.s3_get_requests,
-                static_cast<int64_t>(model.reads) / 2);
-      EXPECT_GE(t.s3_list_requests, static_cast<int64_t>(model.lists));
-    } else {
-      EXPECT_EQ(t.s3_put_requests, static_cast<int64_t>(model.writes));
-      EXPECT_GE(t.s3_get_requests, static_cast<int64_t>(model.reads));
-    }
+    TableChunk input(schema, {Column::Int64(std::move(keys))});
+    auto out = co_await RunExchange(env, spec, p, P, std::move(input));
+    co_return out.ok() ? Status::OK() : out.status();
+  };
+  LAMBADA_CHECK_OK(cloud.faas().CreateFunction(fn));
+  for (int p = 0; p < P; ++p) {
+    sim::Spawn([](cloud::Cloud* c, int worker) -> sim::Async<void> {
+      co_await c->faas().Invoke(c->driver_invoker_profile(),
+                                &c->driver_rng(), "xw",
+                                std::to_string(worker));
+    }(&cloud, p));
+  }
+  cloud.sim().Run();
+  EXPECT_EQ(cloud.faas().failed_handlers(), 0);
+  auto t = cloud.ledger().totals();
+  auto model = PredictExchangeRequests(P, 2, /*write_combining=*/true);
+  EXPECT_EQ(t.s3_put_requests, static_cast<int64_t>(model.writes));
+  EXPECT_LE(t.s3_get_requests, static_cast<int64_t>(model.reads));
+  EXPECT_GT(t.s3_get_requests, static_cast<int64_t>(model.reads) / 2);
+  EXPECT_GE(t.s3_list_requests, static_cast<int64_t>(model.lists));
+}
+
+/// Outcome of a single-level exchange over one group of workers.
+struct GroupRun {
+  std::string foreign_key;  ///< Key of the planted foreign file, if any.
+  std::vector<Status> statuses;
+  std::vector<int64_t> lists;      ///< LIST requests per worker.
+  std::vector<double> finished_s;  ///< When each worker's exchange returned.
+  double end_s = 0;                ///< When the simulation drained.
+};
+
+/// Runs a 1-level exchange over `P` workers in one bucket. Unless
+/// `foreign_name` is empty, a 1-byte file of that name sits under the
+/// group's prefix first; unless `silent` is -1, that worker never enters
+/// the exchange, so it never writes.
+GroupRun RunOneGroup(int P, const std::string& foreign_name, int silent) {
+  cloud::Cloud cloud;
+  ExchangeSpec spec;
+  spec.keys = {"k"};
+  spec.levels = 1;
+  spec.num_buckets = 1;
+  LAMBADA_CHECK_OK(CreateExchangeBuckets(&cloud.s3(), spec));
+  spec.exchange_id = "grp-x";
+  GroupRun run;
+  run.statuses.assign(static_cast<size_t>(P), Status::OK());
+  run.lists.assign(static_cast<size_t>(P), 0);
+  run.finished_s.assign(static_cast<size_t>(P), -1);
+  if (!foreign_name.empty()) {
+    run.foreign_key = "grp-x/ph0/g0/" + foreign_name;
+    LAMBADA_CHECK_OK(cloud.s3().PutDirect(spec.bucket_prefix + "-0",
+                                          run.foreign_key,
+                                          Buffer::FromVector({1})));
+  }
+  auto schema = std::make_shared<Schema>(std::vector<Field>{
+      {"k", DataType::kInt64}});
+  cloud::FunctionConfig fn;
+  fn.name = "xw";
+  fn.memory_mib = 2048;
+  fn.handler = [&, schema](cloud::WorkerEnv& env,
+                           std::string payload) -> sim::Async<Status> {
+    const int p = std::stoi(payload);
+    if (p == silent) co_return Status::OK();
+    TableChunk input(schema, {Column::Int64({p})});
+    ExchangeMetrics xm;
+    auto out = co_await RunExchange(env, spec, p, P, std::move(input), &xm);
+    const auto i = static_cast<size_t>(p);
+    run.statuses[i] = out.status();
+    run.lists[i] = xm.registry.counter(obs::Metric::kExchangeListRequests);
+    run.finished_s[i] = env.sim()->Now();
+    co_return Status::OK();
+  };
+  LAMBADA_CHECK_OK(cloud.faas().CreateFunction(fn));
+  for (int p = 0; p < P; ++p) {
+    sim::Spawn([](cloud::Cloud* c, int worker) -> sim::Async<void> {
+      co_await c->faas().Invoke(c->driver_invoker_profile(),
+                                &c->driver_rng(), "xw",
+                                std::to_string(worker));
+    }(&cloud, p));
+  }
+  cloud.sim().Run();
+  run.end_s = cloud.sim().Now();
+  return run;
+}
+
+TEST(ExchangeTest, MissingSenderTimesOutNamingThePhase) {
+  // Worker 1 of a 3-worker group never writes: its peers poll LIST until
+  // the 600 s barrier timeout and fail with a Timeout naming the phase.
+  const GroupRun run = RunOneGroup(3, "", 1);
+  for (size_t p : {0, 2}) {
+    const Status& st = run.statuses[p];
+    EXPECT_EQ(st.code(), StatusCode::kTimeout) << st.ToString();
+    EXPECT_NE(st.message().find("phase 0"), std::string::npos)
+        << st.ToString();
+    EXPECT_GE(run.finished_s[p], 600.0);
   }
 }
 
 TEST(ExchangeTest, ForeignNameInGroupPrefixFailsOnFirstList) {
   // A name under a group's prefix that no sender writes (no sender index,
-  // an index outside the group, offsets that do not decode) can never
-  // complete the barrier: the receiver fails on the first LIST that shows
-  // it, with an IOError naming the key, instead of polling until the
-  // exchange timeout.
-  for (const std::string name : {"s-o0", "s7-data", "s1-o5"}) {
-    cloud::Cloud cloud;
-    ExchangeSpec spec;
-    spec.keys = {"k"};
-    spec.levels = 1;
-    spec.write_combining = true;
-    spec.offsets_in_name = true;
-    spec.num_buckets = 1;
-    LAMBADA_CHECK_OK(CreateExchangeBuckets(&cloud.s3(), spec));
-    spec.exchange_id = "bad-x";
-    const std::string key = "bad-x/ph0/g0/" + name;
-    LAMBADA_CHECK_OK(cloud.s3().PutDirect(spec.bucket_prefix + "-0", key,
-                                          Buffer::FromVector({1})));
-    constexpr int P = 2;
-    std::vector<Status> statuses(P, Status::OK());
-    std::vector<int64_t> lists(P, 0);
-    auto schema = std::make_shared<Schema>(std::vector<Field>{
-        {"k", DataType::kInt64}});
-    cloud::FunctionConfig fn;
-    fn.name = "xw";
-    fn.memory_mib = 2048;
-    fn.handler = [&, schema](cloud::WorkerEnv& env,
-                             std::string payload) -> sim::Async<Status> {
-      const int p = std::stoi(payload);
-      TableChunk input(schema, {Column::Int64({p})});
-      ExchangeMetrics xm;
-      auto out = co_await RunExchange(env, spec, p, P, std::move(input), &xm);
-      statuses[static_cast<size_t>(p)] = out.status();
-      lists[static_cast<size_t>(p)] =
-          xm.registry.counter(obs::Metric::kExchangeListRequests);
-      co_return Status::OK();
-    };
-    LAMBADA_CHECK_OK(cloud.faas().CreateFunction(fn));
-    for (int p = 0; p < P; ++p) {
-      sim::Spawn([](cloud::Cloud* c, int worker) -> sim::Async<void> {
-        co_await c->faas().Invoke(c->driver_invoker_profile(),
-                                  &c->driver_rng(), "xw",
-                                  std::to_string(worker));
-      }(&cloud, p));
-    }
-    cloud.sim().Run();
-    for (int p = 0; p < P; ++p) {
-      const Status& st = statuses[static_cast<size_t>(p)];
+  // an index outside the group, offsets that do not decode, a sender's
+  // name whose offsets disagree with the 1-byte file's size, or a second
+  // file for sender 0) can never complete the barrier: the receiver fails
+  // on the first LIST that shows it, with an IOError naming the key,
+  // instead of polling until the exchange timeout.
+  for (const std::string name : {"s-o0", "s7-data", "s1-o5", "s0-o0.0.0",
+                                 "s1-o0.0.0", "s0-o0.0.1"}) {
+    const GroupRun run = RunOneGroup(2, name, -1);
+    for (size_t p = 0; p < run.statuses.size(); ++p) {
+      const Status& st = run.statuses[p];
       EXPECT_EQ(st.code(), StatusCode::kIOError) << name << ": "
                                                  << st.ToString();
-      EXPECT_NE(st.message().find(key), std::string::npos) << st.ToString();
-      EXPECT_EQ(lists[static_cast<size_t>(p)], 1) << name;
+      EXPECT_NE(st.message().find(run.foreign_key), std::string::npos)
+          << st.ToString();
+      EXPECT_EQ(run.lists[p], 1) << name;
     }
-    EXPECT_LT(cloud.sim().Now(), 10.0) << name;
+    EXPECT_LT(run.end_s, 10.0) << name;
   }
+}
+
+TEST(ExchangeTest, WrappingOffsetsFailOnFirstList) {
+  // Sender 1 never writes, so this file could stand in for it: its
+  // offsets end at its 1-byte size only because they wrap past 2^64, and
+  // the range they give receiver 0 (offset 1, length 2^63 - 1) would
+  // overflow the ranged GET. It is rejected like any foreign name.
+  const GroupRun run =
+      RunOneGroup(2, "s1-o1.7fffffffffffffff.8000000000000001", 1);
+  const Status& st = run.statuses[0];
+  EXPECT_EQ(st.code(), StatusCode::kIOError) << st.ToString();
+  EXPECT_NE(st.message().find(run.foreign_key), std::string::npos)
+      << st.ToString();
+  EXPECT_EQ(run.lists[0], 1);
+  EXPECT_LT(run.end_s, 10.0);
 }
 
 // ---------------------------------------------------------------------------

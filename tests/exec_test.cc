@@ -2,7 +2,6 @@
 
 #include <atomic>
 #include <cstring>
-#include <numeric>
 #include <thread>
 #include <vector>
 
@@ -11,11 +10,8 @@
 #include "engine/partition.h"
 #include "exec/exec_context.h"
 #include "exec/parallel_for.h"
-#include "exec/request_batcher.h"
 #include "exec/thread_pool.h"
 #include "format/encoding.h"
-#include "sim/async.h"
-#include "sim/simulator.h"
 
 namespace lambada {
 namespace {
@@ -256,84 +252,6 @@ TEST(KernelDeterminismTest, EncodeColumnAutoMatchesAcrossThreadCounts) {
     EXPECT_EQ(serial.encoding, parallel.encoding);
     EXPECT_EQ(serial.bytes, parallel.bytes);
   }
-}
-
-// ---------------------------------------------------------------------------
-// RequestBatcher (simulated time)
-// ---------------------------------------------------------------------------
-
-sim::Async<int> FakeRequest(sim::Simulator* sim, double latency, int value,
-                            int* in_flight, int* max_in_flight) {
-  ++*in_flight;
-  *max_in_flight = std::max(*max_in_flight, *in_flight);
-  co_await sim::Sleep(sim, latency);
-  --*in_flight;
-  co_return value;
-}
-
-TEST(RequestBatcherTest, BoundsInFlightAndKeepsSlotOrder) {
-  sim::Simulator sim;
-  int in_flight = 0;
-  int max_in_flight = 0;
-  std::vector<int> results;
-  sim::Spawn([](sim::Simulator* s, int* inf, int* maxf,
-                std::vector<int>* out) -> sim::Async<void> {
-    exec::RequestBatcher batcher(s, 3);
-    std::vector<std::function<sim::Async<int>()>> thunks;
-    for (int i = 0; i < 10; ++i) {
-      // Later slots finish *faster*: slot order must still hold.
-      double latency = 1.0 - 0.09 * i;
-      thunks.push_back([s, latency, i, inf, maxf] {
-        return FakeRequest(s, latency, i, inf, maxf);
-      });
-    }
-    *out = co_await batcher.Run(std::move(thunks));
-  }(&sim, &in_flight, &max_in_flight, &results));
-  sim.Run();
-  EXPECT_EQ(max_in_flight, 3);
-  std::vector<int> expected(10);
-  std::iota(expected.begin(), expected.end(), 0);
-  EXPECT_EQ(results, expected);
-}
-
-TEST(RequestBatcherTest, DepthOneMatchesSequentialSchedule) {
-  auto run_with = [](int depth) {
-    sim::Simulator sim;
-    double elapsed = -1;
-    sim::Spawn([](sim::Simulator* s, int depth_arg,
-                  double* out) -> sim::Async<void> {
-      exec::RequestBatcher batcher(s, depth_arg);
-      int in_flight = 0;
-      int max_in_flight = 0;
-      std::vector<std::function<sim::Async<int>()>> thunks;
-      for (int i = 0; i < 5; ++i) {
-        thunks.push_back([s, i, &in_flight, &max_in_flight] {
-          return FakeRequest(s, 0.5, i, &in_flight, &max_in_flight);
-        });
-      }
-      (void)co_await batcher.Run(std::move(thunks));
-      *out = s->Now();
-    }(&sim, depth, &elapsed));
-    sim.Run();
-    return elapsed;
-  };
-  // Depth 1 is the sequential schedule: 5 * 0.5s back to back.
-  EXPECT_DOUBLE_EQ(run_with(1), 2.5);
-  // Depth 5 overlaps all requests.
-  EXPECT_DOUBLE_EQ(run_with(5), 0.5);
-}
-
-TEST(RequestBatcherTest, EmptyBatch) {
-  sim::Simulator sim;
-  bool done = false;
-  sim::Spawn([](sim::Simulator* s, bool* out) -> sim::Async<void> {
-    exec::RequestBatcher batcher(s, 4);
-    auto results = co_await batcher.Run(
-        std::vector<std::function<sim::Async<int>()>>{});
-    *out = results.empty();
-  }(&sim, &done));
-  sim.Run();
-  EXPECT_TRUE(done);
 }
 
 }  // namespace

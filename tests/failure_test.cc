@@ -135,9 +135,10 @@ TEST(FailureTest, OversizedPayloadFailsCleanly) {
 }
 
 TEST(FailureTest, ExchangeSurvivesRateLimitThrottling) {
-  // A single-bucket BasicExchange under tight per-bucket rate limits:
-  // SlowDown responses are retried and the shuffle still completes
-  // correctly (this is the pain that motivates multiple buckets).
+  // A single-bucket, single-level exchange under tight per-bucket rate
+  // limits: SlowDown responses are retried and the shuffle still
+  // completes correctly (this is the pain that motivates multiple
+  // buckets).
   cloud::CloudConfig cfg;
   cfg.concurrency_limit = 64;
   cfg.s3.read_rate_per_bucket = 150;
@@ -148,14 +149,14 @@ TEST(FailureTest, ExchangeSurvivesRateLimitThrottling) {
   ExchangeSpec spec;
   spec.keys = {"k"};
   spec.levels = 1;
-  spec.write_combining = false;
   spec.num_buckets = 1;
   spec.exchange_id = "throttled";
   ASSERT_TRUE(CreateExchangeBuckets(&cloud.s3(), spec).ok());
-  const int P = 12;
+  const int P = 36;
   auto schema = std::make_shared<Schema>(
       std::vector<Field>{{"k", DataType::kInt64}});
   int64_t received = 0;
+  int64_t retries = 0;
   int failures = 0;
   cloud::FunctionConfig fn;
   fn.name = "xw";
@@ -169,6 +170,7 @@ TEST(FailureTest, ExchangeSurvivesRateLimitThrottling) {
     }
     TableChunk input(schema, {Column::Int64(std::move(keys))});
     auto out = co_await RunExchange(env, spec, p, P, std::move(input));
+    retries += env.registry().counter(obs::Metric::kS3Retries);
     if (!out.ok()) {
       ++failures;
       co_return out.status();
@@ -187,6 +189,7 @@ TEST(FailureTest, ExchangeSurvivesRateLimitThrottling) {
   cloud.sim().Run();
   EXPECT_EQ(failures, 0);
   EXPECT_EQ(received, P * 200);
+  EXPECT_GT(retries, 0);  // The limits did throttle.
 }
 
 TEST(FailureTest, QueryDeadlineNamesMissingWorkers) {

@@ -278,6 +278,58 @@ TEST(ServingConcurrencyTest, ConcurrentResultsByteIdenticalToSolo) {
   }
 }
 
+/// Runs `query` through a solo Driver on a fresh deployment and returns
+/// its serialized result.
+std::vector<uint8_t> SoloDriverBytes(const Query& query) {
+  cloud::Cloud cloud;
+  LoadData(&cloud);
+  core::Driver driver(&cloud);
+  LAMBADA_CHECK_OK(driver.Install());
+  auto report = driver.RunToCompletion(query, RunOptions{});
+  LAMBADA_CHECK(report.ok()) << report.status().ToString();
+  return ResultBytes(*report);
+}
+
+TEST(ServingConcurrencyTest, SoloDriverBesideServiceRunsItsOwnPlan) {
+  // A solo Driver and a QueryService on one Cloud share the plan, result
+  // and exchange key spaces (lambada-system/plans/<qid>, ...), so their
+  // query ids must not collide: a solo Q1 started together with a
+  // service Q6 must each return the bytes of that query run alone.
+  const Query q1 = workload::TpchQ1("s3://tpch/li/*.lpq");
+  const Query q6 = workload::TpchQ6("s3://tpch/li/*.lpq");
+  cloud::Cloud cloud;
+  LoadData(&cloud);
+  core::Driver driver(&cloud);
+  LAMBADA_CHECK_OK(driver.Install());
+  QueryService svc(&cloud, ServingOptions{});
+  TenantOptions t;
+  t.id = "acme";
+  LAMBADA_CHECK_OK(svc.AddTenant(t));
+  auto solo =
+      std::make_shared<Result<QueryReport>>(Status::Internal("pending"));
+  auto served =
+      std::make_shared<Result<QueryReport>>(Status::Internal("pending"));
+  const RunOptions ro;
+  sim::Spawn([](core::Driver* d, const Query* q, const RunOptions* o,
+                std::shared_ptr<Result<QueryReport>> out)
+                 -> sim::Async<void> {
+    *out = co_await d->Run(*q, *o);
+  }(&driver, &q1, &ro, solo));
+  sim::Spawn([](QueryService* s, const Query* q,
+                std::shared_ptr<Result<QueryReport>> out)
+                 -> sim::Async<void> {
+    // Named locals, not prvalues (see SubmitAll).
+    const std::string tenant = "acme";
+    RunOptions opts;
+    *out = co_await s->Submit(tenant, *q, opts);
+  }(&svc, &q6, served));
+  cloud.sim().Run();
+  ASSERT_TRUE(solo->ok()) << solo->status().ToString();
+  ASSERT_TRUE(served->ok()) << served->status().ToString();
+  EXPECT_EQ(ResultBytes(**solo), SoloDriverBytes(q1));
+  EXPECT_EQ(ResultBytes(**served), SoloDriverBytes(q6));
+}
+
 // ---------------------------------------------------------------------------
 // Metadata cache correctness
 // ---------------------------------------------------------------------------
