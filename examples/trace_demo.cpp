@@ -7,6 +7,7 @@
 // Usage: trace_demo [trace.json]   (default ./trace_q3.json)
 
 #include <cstdio>
+#include <fstream>
 
 #include "cloud/cloud.h"
 #include "core/driver.h"
@@ -41,15 +42,17 @@ int main(int argc, char** argv) {
 
   core::RunOptions ropts;
   ropts.trace.enabled = true;
-  ropts.trace.chrome_json_path = trace_path;
   auto q = workload::TpchQ3("s3://tpch/li/*.lpq", "s3://tpch/orders/*.lpq",
                             "s3://tpch/customer/*.lpq");
   auto report = driver.RunToCompletion(q, ropts);
   LAMBADA_CHECK(report.ok()) << report.status().ToString();
-  LAMBADA_CHECK(!report->trace_path.empty()) << "trace JSON was not written";
+  std::ofstream out(trace_path, std::ios::binary | std::ios::trunc);
+  out << report->trace->ChromeTraceJson();
+  out.close();
+  LAMBADA_CHECK(!out.fail()) << "cannot write trace to " << trace_path;
 
   std::printf("%s\n", report->explain_analyze_text.c_str());
   std::printf("trace: %zu spans -> %s\n", report->trace->spans().size(),
-              report->trace_path.c_str());
+              trace_path);
   return 0;
 }

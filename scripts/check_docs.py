@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs from rotting. Six checks, run in CI:
+"""Keeps the docs from rotting. Seven checks, run in CI:
 
 1. Every bench binary (bench/bench_*.cc) must appear in the README's
    figure tables, and every committed BENCH_*.json trajectory file must
@@ -22,6 +22,13 @@
    src/obs/metrics.cc (the meta_cache.*, shared_scan.*, and serving.*
    families) in backticks, and every backticked name in those families
    must be declared, so the serving doc cannot drift from the code.
+7. docs/OBSERVABILITY.md's span table must match the spans src opens:
+   every (cat, name) passed to obs::Begin, cloud::EnvSpan or
+   Tracer::BeginSpan needs a row, and every row must name a span the
+   code opens. A cat or name passed in through a parameter is read from
+   the string literals at that function's call sites (the scan
+   pipeline's phase label is `scan` or `scan-build`); any other argument
+   is an error, so the taxonomy cannot drift from the code.
 
 Exit code: 0 when clean, 1 with one line per violation otherwise.
 
@@ -268,6 +275,152 @@ def check_serving_metrics(root, errors):
             f"src/obs/metrics.cc declares no such metric")
 
 
+# Span-opening calls, each with the argument position of its cat (the
+# name follows): obs::Begin(tracer, parent, cat, name), cloud::EnvSpan
+# var(&env, cat, name) and tracer->BeginSpan(parent, cat, name).
+SPAN_CALLS = (
+    (re.compile(r"\bobs::Begin\("), 2),
+    (re.compile(r"\bEnvSpan\s+\w+\("), 1),
+    (re.compile(r"\bBeginSpan\("), 1),
+)
+# A declared parameter, `std::string name` or `const char* phase_label`.
+PARAM_DECL_RE = re.compile(r"[\w*&>]\s+[*&]?(\w+)\s*(=.*)?$")
+# A function definition: name, parameter list, opening brace.
+FUNC_DEF_RE = re.compile(r"\b(\w+)\s*\(([^()]*)\)\s*(?:const\s*)?\{")
+# Span-table rows: `| `scan` | `scan`, `scan-build` | parent | args |`.
+SPAN_ROW_RE = re.compile(r"^\|\s*`([\w-]+)`\s*\|([^|]*)\|", re.MULTILINE)
+
+
+def split_args(text, open_pos):
+    """Splits the call arguments starting after the '(' at open_pos."""
+    args, depth, start, i = [], 0, open_pos + 1, open_pos + 1
+    in_str = False
+    while i < len(text):
+        ch = text[i]
+        if in_str:
+            if ch == "\\":
+                i += 1
+            elif ch == '"':
+                in_str = False
+        elif ch == '"':
+            in_str = True
+        elif ch in "([{":
+            depth += 1
+        elif ch in ")]}":
+            if depth == 0:
+                args.append(text[start:i].strip())
+                return args
+            depth -= 1
+        elif ch == "," and depth == 0:
+            args.append(text[start:i].strip())
+            start = i + 1
+        i += 1
+    return args
+
+
+def param_index(params, ident):
+    """Position of parameter `ident` in a parameter list, or None."""
+    for i, p in enumerate(split_args("(" + params + ")", 0)):
+        m = PARAM_DECL_RE.search(p)
+        if m and m.group(1) == ident:
+            return i
+    return None
+
+
+def resolve_span_arg(root, sources, path, pos, arg, errors):
+    """The values one span argument takes: a literal's own, or a
+    parameter's literals at every call site of its function in src."""
+    if arg.startswith('"'):
+        return {arg[1:-1]}
+    where = os.path.relpath(path, root)
+    if not re.fullmatch(r"[A-Za-z_]\w*", arg):
+        errors.append(f"{where}: span argument `{arg}` is neither a literal "
+                      f"nor a parameter")
+        return set()
+    func, index = None, None
+    for m in FUNC_DEF_RE.finditer(sources[path], 0, pos):
+        i = param_index(m.group(2), arg)
+        if i is not None:
+            func, index = m.group(1), i  # The innermost one wins.
+    if func is None:
+        errors.append(f"{where}: span argument `{arg}` is neither a literal "
+                      f"nor a parameter of the enclosing function")
+        return set()
+    values = set()
+    for other_path, other in sorted(sources.items()):
+        for call in re.finditer(r"\b" + func + r"\s*\(", other):
+            args = split_args(other, call.end() - 1)
+            if index >= len(args) or param_index(", ".join(args), arg) \
+                    is not None:
+                continue  # The definition or a declaration.
+            if not args[index].startswith('"'):
+                errors.append(
+                    f"{os.path.relpath(other_path, root)}: {func}() passes "
+                    f"span argument `{arg}` as `{args[index]}`, not a "
+                    f"string literal")
+                continue
+            values.add(args[index][1:-1])
+    if not values:
+        errors.append(f"{where}: no call site of {func}() names span "
+                      f"argument `{arg}`")
+    return values
+
+
+def check_span_table(root, errors):
+    doc_path = os.path.join(root, "docs", "OBSERVABILITY.md")
+    try:
+        with open(doc_path, encoding="utf-8") as f:
+            doc = f.read()
+    except OSError as e:
+        errors.append(f"span table check: unreadable input ({e})")
+        return
+    sources = {}
+    for pattern in ("*.h", "*.cc"):
+        for path in glob.glob(os.path.join(root, "src", "**", pattern),
+                              recursive=True):
+            with open(path, encoding="utf-8") as f:
+                sources[path] = f.read()
+    opened = {}  # (cat, name) -> first source file opening it.
+    for path, text in sorted(sources.items()):
+        for regex, first in SPAN_CALLS:
+            for m in regex.finditer(text):
+                pair = split_args(text, m.end() - 1)[first:first + 2]
+                if len(pair) != 2 or any(PARAM_DECL_RE.search(a)
+                                         for a in pair):
+                    continue  # A declaration or a definition.
+                if all(a.startswith("std::move(") for a in pair):
+                    continue  # A wrapper, checked at its own call sites.
+                cats = resolve_span_arg(root, sources, path, m.start(),
+                                        pair[0], errors)
+                names = resolve_span_arg(root, sources, path, m.start(),
+                                         pair[1], errors)
+                for cat in cats:
+                    for name in names:
+                        opened.setdefault((cat, name),
+                                          os.path.relpath(path, root))
+    if not opened:
+        errors.append("src: no span-opening calls found")
+        return
+    section = doc.split("## Span taxonomy", 1)
+    body = section[1].split("\n## ", 1)[0] if len(section) == 2 else ""
+    documented = set()
+    for cat, names in SPAN_ROW_RE.findall(body):
+        for name in re.findall(r"`([\w-]+)`", names):
+            documented.add((cat, name))
+    if not documented:
+        errors.append("docs/OBSERVABILITY.md: '## Span taxonomy' table not "
+                      "found")
+        return
+    for cat, name in sorted(set(opened) - documented):
+        errors.append(
+            f"docs/OBSERVABILITY.md: span {cat}/{name} is opened "
+            f"({opened[(cat, name)]}) but missing from the span table")
+    for cat, name in sorted(documented - set(opened)):
+        errors.append(
+            f"docs/OBSERVABILITY.md: span {cat}/{name} is documented but "
+            f"src opens no such span")
+
+
 def main(argv):
     root = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.abspath(
         os.path.join(os.path.dirname(__file__), os.pardir))
@@ -278,13 +431,14 @@ def main(argv):
     check_tpch_matrix(root, errors)
     check_metric_registry(root, errors)
     check_serving_metrics(root, errors)
+    check_span_table(root, errors)
     for e in errors:
         print(f"check_docs: {e}", file=sys.stderr)
     if errors:
         return 1
     print("check_docs: README bench rows, trajectory files, markdown links, "
-          "encoding tags, the TPC-H matrix, the metric registry, and the "
-          "serving metric names are clean")
+          "encoding tags, the TPC-H matrix, the metric registry, the "
+          "serving metric names, and the span table are clean")
     return 0
 
 

@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Aggregates a lambada Chrome trace JSON (QueryReport::trace_path) into a
-per-phase virtual-time breakdown.
+"""Aggregates a lambada Chrome trace JSON (obs::Tracer::ChromeTraceJson, as
+examples/trace_demo writes it) into a per-phase virtual-time breakdown.
 
 The tracer's span taxonomy (docs/OBSERVABILITY.md) nests request-level
 spans under operator spans, so a naive sum over every event double-counts.

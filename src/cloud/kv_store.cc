@@ -14,10 +14,6 @@ Status KeyValueStore::CreateTable(const std::string& table) {
   return Status::OK();
 }
 
-bool KeyValueStore::TableExists(const std::string& table) const {
-  return tables_.find(table) != tables_.end();
-}
-
 sim::Async<Status> KeyValueStore::Latency(NetContext& ctx) {
   double latency = ctx.rng->Lognormal(config_.request_latency_median_s,
                                       config_.request_latency_sigma);

@@ -29,7 +29,6 @@ class KeyValueStore {
 
   /// Creates a table. Idempotent; free control-plane operation.
   Status CreateTable(const std::string& table);
-  bool TableExists(const std::string& table) const;
 
   sim::Async<Status> Put(NetContext ctx, std::string table, std::string key,
                          std::string value);

@@ -38,10 +38,6 @@ Status ObjectStore::CreateBucket(const std::string& bucket) {
   return Status::OK();
 }
 
-bool ObjectStore::BucketExists(const std::string& bucket) const {
-  return buckets_.find(bucket) != buckets_.end();
-}
-
 ObjectStore::Bucket* ObjectStore::FindBucket(const std::string& bucket) {
   auto it = buckets_.find(bucket);
   return it == buckets_.end() ? nullptr : it->second.get();

@@ -73,7 +73,6 @@ class ObjectStore {
 
   /// Creates a bucket. Idempotent.
   Status CreateBucket(const std::string& bucket);
-  bool BucketExists(const std::string& bucket) const;
 
   // -- Data plane (simulated requests) --------------------------------------
 

@@ -19,15 +19,6 @@ Status QueueService::CreateQueue(const std::string& name) {
   return Status::OK();
 }
 
-bool QueueService::QueueExists(const std::string& name) const {
-  return queues_.find(name) != queues_.end();
-}
-
-void QueueService::PurgeQueue(const std::string& name) {
-  auto it = queues_.find(name);
-  if (it != queues_.end()) it->second.messages.clear();
-}
-
 QueueService::Queue* QueueService::FindQueue(const std::string& name) {
   auto it = queues_.find(name);
   return it == queues_.end() ? nullptr : &it->second;

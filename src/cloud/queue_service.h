@@ -34,9 +34,6 @@ class QueueService {
 
   /// Creates a queue. Idempotent; free control-plane operation.
   Status CreateQueue(const std::string& name);
-  bool QueueExists(const std::string& name) const;
-  /// Drops all pending messages (between experiment repetitions).
-  void PurgeQueue(const std::string& name);
 
   /// Sends one message. Fails with InvalidArgument beyond the size limit.
   sim::Async<Status> Send(NetContext ctx, std::string queue,

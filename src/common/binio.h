@@ -102,12 +102,6 @@ class BinaryReader {
     return b;
   }
 
-  Status Skip(size_t n) {
-    RETURN_NOT_OK(Require(n));
-    pos_ += n;
-    return Status::OK();
-  }
-
  private:
   Status Require(size_t n) const {
     if (pos_ + n > size_) {

@@ -2,7 +2,6 @@
 #define LAMBADA_COMMON_BUFFER_H_
 
 #include <cstdint>
-#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
@@ -30,13 +29,6 @@ class Buffer {
 
   static std::shared_ptr<Buffer> FromString(const std::string& s) {
     return FromVector(std::vector<uint8_t>(s.begin(), s.end()));
-  }
-
-  /// Copies `size` bytes starting at `data`.
-  static std::shared_ptr<Buffer> CopyOf(const void* data, size_t size) {
-    std::vector<uint8_t> v(size);
-    if (size > 0) std::memcpy(v.data(), data, size);
-    return FromVector(std::move(v));
   }
 
   const uint8_t* data() const { return data_; }

@@ -8,7 +8,6 @@
 #include "cloud/cloud.h"
 #include "core/dataflow.h"
 #include "exec/exec_context.h"
-#include "core/invocation_tree.h"
 #include "core/messages.h"
 #include "core/optimizer.h"
 #include "engine/table.h"
@@ -94,11 +93,10 @@ struct MitigationOptions {
 /// simulation thread, so enabling it changes neither results nor modeled
 /// latency/cost, and the rendered trace is byte-identical across worker
 /// thread counts and across identical (workload, seed) runs.
+/// The query's trace is QueryReport::trace; obs::Tracer::ChromeTraceJson
+/// renders it for chrome://tracing or Perfetto.
 struct TraceOptions {
   bool enabled = false;
-  /// If non-empty, the driver writes the Chrome trace_event JSON here
-  /// after the query completes (open in chrome://tracing or Perfetto).
-  std::string chrome_json_path;
 };
 
 /// Per-query execution knobs (the M and F of Section 5.2).
@@ -174,9 +172,7 @@ struct QueryReport {
   /// populated, tracing or not.
   obs::MetricsRegistry fleet_metrics;
   /// The query's trace when RunOptions::trace.enabled; null otherwise.
-  /// trace_path is where the Chrome JSON was written (empty if not asked).
   std::shared_ptr<obs::Tracer> trace;
-  std::string trace_path;
   /// EXPLAIN ANALYZE rendering: the optimizer's plan annotated with what
   /// actually happened (rows, modeled bytes, exchange traffic, attempts,
   /// virtual time per operator). See core/analyze.h.
@@ -206,7 +202,13 @@ class Driver {
   void ResetWarm(int memory_mib);
 
   /// Compiles and executes `query`; resolves when the final result is
-  /// merged on the driver.
+  /// merged on the driver. A query runs in five phases, each under its
+  /// own driver span (docs/OBSERVABILITY.md): plan (list, optimize,
+  /// prune, size the fleet and its invocation tree), upload (the plan
+  /// fragment, and the worker-input table of a batched tree), invoke
+  /// (the generation-1 roots), collect (the results, re-invoking
+  /// stragglers, retried failures and silent branches under mitigation)
+  /// and merge (driver-scope aggregation and HAVING).
   sim::Async<Result<QueryReport>> Run(const Query& query,
                                       const RunOptions& options);
 
@@ -216,25 +218,8 @@ class Driver {
                                       const RunOptions& options);
 
   const DriverOptions& options() const { return options_; }
-  cloud::Cloud* cloud() { return cloud_; }
 
  private:
-  /// Invokes all `payloads` (worker_id -> the worker's own leaf payload)
-  /// through the invocation tree: one Invoke per generation-1 root, whose
-  /// payload (BranchPayload) carries its subtree range and its
-  /// descendants' inputs — inline, or batched behind `inputs_key` when
-  /// that is set. Returns when every Invoke call was issued and accepted.
-  sim::Async<Status> InvokeWorkers(
-      const std::vector<InvocationPayload>& payloads, const TreePlan& tree,
-      const std::string& inputs_key, const std::string& function,
-      cloud::CostLedger* attribution);
-
-  /// One Invoke from the driver machine (its WAN profile and RNG) under
-  /// the shared retry policy (FaasService::InvokeWithRetries).
-  sim::Async<Status> InvokeOne(const std::string& function,
-                               std::string payload,
-                               cloud::CostLedger* attribution);
-
   cloud::Cloud* cloud_;
   DriverOptions options_;
   bool installed_ = false;

@@ -165,7 +165,7 @@ sim::Async<Result<QueryReport>> QueryService::SubmitImpl(
   }
 
   // ---- Run, with every charge mirrored into a per-query ledger. ----
-  cloud::CostLedger attribution;
+  cloud::CostLedger& attribution = ledgers_.emplace_back();
   RunOptions ro = sub->run_options;
   ro.attribution = &attribution;
   auto report = co_await driver_->Run(sub->query, ro);

@@ -155,6 +155,10 @@ class QueryService {
   std::unique_ptr<Driver> driver_;
   std::map<std::string, Tenant> tenants_;
   std::deque<std::shared_ptr<Waiter>> queue_;
+  /// Every admitted query's cost attribution ledger, kept for the
+  /// service's lifetime: a superseded straggler or a slow invoker's late
+  /// children keep charging their query's ledger after Submit returned.
+  std::deque<cloud::CostLedger> ledgers_;
   int running_ = 0;
   uint64_t next_ticket_ = 0;
   std::vector<AdmissionEvent> admission_log_;

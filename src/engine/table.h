@@ -108,14 +108,6 @@ class Column {
                                      : static_cast<int64_t>(f64()[i]);
   }
 
-  void AppendFrom(const Column& src, size_t row) {
-    if (type_ == DataType::kInt64) {
-      mutable_i64().push_back(src.i64()[row]);
-    } else {
-      mutable_f64().push_back(src.f64()[row]);
-    }
-  }
-
   /// New column containing the rows where `keep` is true.
   Column Filter(const std::vector<bool>& keep) const;
 

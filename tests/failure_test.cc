@@ -12,6 +12,7 @@
 #include "engine/chunk_serde.h"
 #include "engine/expr.h"
 #include "format/writer.h"
+#include "obs/trace.h"
 #include "workload/tpch.h"
 
 namespace lambada::core {
@@ -776,6 +777,63 @@ TEST(FailureTest, LostGen1BranchRecoversViaSubtreeReinvocation) {
     EXPECT_GE(reinvoked, 2) << threads << " threads";   // A branch...
     EXPECT_LT(reinvoked, 36) << threads << " threads";  // ...not the fleet.
   }
+}
+
+TEST(FailureTest, DepthThreeReinvokedWorkerFetchesItsInputs) {
+  // A 24-worker fleet forced through the depth-3 batched tree, with
+  // workers crashing. The driver re-invokes a lost worker alone, as the
+  // size-1 node of the tree, through the same payload builder as the
+  // tree's roots: like its first attempt, the re-invoked worker fetches
+  // its inputs from the worker-input table instead of carrying them
+  // inline. The merged result stays byte-identical to the fault-free run.
+  auto run = [](const cloud::FaultPlan& fault, int* reinvoked,
+                std::shared_ptr<obs::Tracer>* trace) {
+    cloud::CloudConfig cfg;
+    cfg.fault = fault;
+    cloud::Cloud cloud(cfg);
+    DriverOptions dopts;
+    dopts.invocation_tree_depth = 3;
+    Driver driver(&cloud, dopts);
+    LAMBADA_CHECK_OK(driver.Install());
+    UploadTable(cloud, "deep/", 24, 400);
+    auto q = Query::FromParquet("s3://data/deep/*.lpq");
+    RunOptions ropts;
+    ropts.mitigation.enabled = true;
+    ropts.trace.enabled = true;
+    auto report = driver.RunToCompletion(q, ropts);
+    LAMBADA_CHECK(report.ok()) << report.status().ToString();
+    LAMBADA_CHECK(report->tree_depth == 3);
+    *reinvoked = report->reinvoked_workers;
+    *trace = report->trace;
+    return engine::SerializeChunk(report->result);
+  };
+  int reinvoked = 0;
+  std::shared_ptr<obs::Tracer> trace;
+  const auto ref = run(cloud::FaultPlan{}, &reinvoked, &trace);
+  EXPECT_EQ(reinvoked, 0);
+  cloud::FaultPlan crashes;
+  crashes.enabled = true;
+  crashes.seed = 1;
+  crashes.worker_crash_rate = 0.05;
+  EXPECT_EQ(run(crashes, &reinvoked, &trace), ref);
+  EXPECT_GE(reinvoked, 1);
+  int retries = 0;
+  for (const auto& s : trace->spans()) {
+    if (s.name != "worker") continue;
+    bool retry = false;
+    for (const auto& [key, value] : s.args) {
+      if (key == "attempt" && value != "0") retry = true;
+    }
+    if (!retry) continue;
+    ++retries;
+    bool fetched = false;
+    for (const auto& c : trace->spans()) {
+      if (c.parent == s.id && c.name == "fetch-inputs") fetched = true;
+    }
+    EXPECT_TRUE(fetched) << "worker span " << s.id
+                         << " re-ran without fetching its inputs";
+  }
+  EXPECT_GE(retries, 1);
 }
 
 // ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@
 #include "core/optimizer.h"
 #include "engine/chunk_serde.h"
 #include "models/costmodel.h"
+#include "obs/trace.h"
 #include "workload/tpch.h"
 
 namespace lambada::core {
@@ -454,7 +455,7 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwoAtAllThreads) {
   // result bytes identical to the default two-level run (inline inputs)
   // and to flat depth-1 invocation — at 1, 2, and 8 worker threads, and
   // across repeated runs (the determinism contract).
-  auto run = [](int depth, int threads) {
+  auto run = [](int depth, int threads, std::shared_ptr<obs::Tracer>* trace) {
     cloud::Cloud cloud;
     DriverOptions dopts;
     dopts.invocation_tree_depth = depth;
@@ -471,18 +472,46 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwoAtAllThreads) {
     LAMBADA_CHECK_OK(workload::LoadLineitem(&cloud.s3(), "tpch", "li/", li));
     auto q = workload::TpchQ6("s3://tpch/li/*.lpq");
     RunOptions ropts;
+    ropts.trace.enabled = trace != nullptr;
     auto report = driver.RunToCompletion(q, ropts);
     LAMBADA_CHECK(report.ok()) << report.status().ToString();
     LAMBADA_CHECK(report->tree_depth == depth);
+    if (trace != nullptr) *trace = report->trace;
     return engine::SerializeChunk(report->result);
   };
-  const std::vector<uint8_t> ref = run(2, 1);
+  const std::vector<uint8_t> ref = run(2, 1, nullptr);
   ASSERT_FALSE(ref.empty());
-  EXPECT_EQ(run(2, 1), ref);  // Repeated run, identical bytes.
+  EXPECT_EQ(run(2, 1, nullptr), ref);  // Repeated run, identical bytes.
   for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(run(3, threads), ref) << threads << " threads, depth 3";
-    EXPECT_EQ(run(1, threads), ref) << threads << " threads, depth 1";
+    EXPECT_EQ(run(3, threads, nullptr), ref)
+        << threads << " threads, depth 3";
+    EXPECT_EQ(run(1, threads, nullptr), ref)
+        << threads << " threads, depth 1";
   }
+
+  // Traced, the depth-3 run shows the driver's phases as back-to-back
+  // spans under the root, the batched tree's input-table upload included:
+  // each starts where the previous one ended, and together they cover
+  // the whole query.
+  std::shared_ptr<obs::Tracer> trace;
+  EXPECT_EQ(run(3, 1, &trace), ref) << "traced, depth 3";
+  ASSERT_NE(trace, nullptr);
+  const obs::Tracer::Span& root = trace->span(trace->root());
+  std::vector<const obs::Tracer::Span*> phases;
+  for (const auto& s : trace->spans()) {
+    if (s.parent == root.id && s.cat == "driver") phases.push_back(&s);
+  }
+  const std::vector<std::string> expected = {
+      "plan", "upload-plan", "upload-inputs", "invoke", "collect", "merge"};
+  ASSERT_EQ(phases.size(), expected.size());
+  double at = root.start;
+  for (size_t i = 0; i < phases.size(); ++i) {
+    EXPECT_EQ(phases[i]->name, expected[i]);
+    EXPECT_EQ(phases[i]->start, at) << phases[i]->name;
+    EXPECT_GE(phases[i]->end, phases[i]->start) << phases[i]->name;
+    at = phases[i]->end;
+  }
+  EXPECT_EQ(at, root.end);
 }
 
 }  // namespace
