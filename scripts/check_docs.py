@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs from rotting. Seven checks, run in CI:
+"""Keeps the docs from rotting. Eight checks, run in CI:
 
 1. Every bench binary (bench/bench_*.cc) must appear in the README's
    figure tables, and every committed BENCH_*.json trajectory file must
@@ -29,6 +29,14 @@
    the string literals at that function's call sites (the scan
    pipeline's phase label is `scan` or `scan-build`); any other argument
    is an error, so the taxonomy cannot drift from the code.
+8. The "Download concurrency" paragraph of docs/ARCHITECTURE.md must
+   state the scan's constants from src/engine/scan.cc, each in its own
+   phrase: extents per row group fetched at once
+   (kColumnFetchParallelism), row groups downloading at once
+   (kRowGroupParallelism), row groups between start and emit
+   (kRowGroupResidency) and the coalescing budget in MiB
+   (kCoalesceGapBytes), so a retuned constant cannot leave the
+   documented concurrency behind.
 
 Exit code: 0 when clean, 1 with one line per violation otherwise.
 
@@ -421,6 +429,80 @@ def check_span_table(root, errors):
             f"src opens no such span")
 
 
+# scan.cc constants: `constexpr int kName = <expr>;` at the start of a line.
+# Only those whose value is a product of literals and earlier constants
+# are read; the checked four all are.
+SCAN_CONST_RE = re.compile(r"^constexpr\s+\w+\s+(k\w+)\s*=\s*([^;]+);",
+                           re.MULTILINE)
+# The paragraph of ARCHITECTURE.md that states the scan's concurrency.
+DOWNLOAD_PARA_RE = re.compile(
+    r"^\*\*Download concurrency\.\*\*(.*?)(?:\n\s*\n|\Z)",
+    re.MULTILINE | re.DOTALL)
+# Each constant, the phrase of that paragraph stating it, and the unit of
+# the phrase's number in the constant's unit.
+SCAN_DOC_PHRASES = (
+    ("kColumnFetchParallelism", r"\(2\) up to (\d+) extents", 1),
+    ("kRowGroupParallelism", r"\(3\) up to (\d+) row groups", 1),
+    ("kRowGroupResidency", r"at most (\d+) row groups", 1),
+    ("kCoalesceGapBytes", r"at (\d+) MiB of modeled bytes", 1024 * 1024),
+)
+
+
+def eval_const(expr, known):
+    """A product of integer literals and known constants, or None when the
+    expression is anything else."""
+    product = 1
+    for factor in expr.split("*"):
+        factor = factor.strip()
+        if re.fullmatch(r"\d+", factor):
+            product *= int(factor)
+        elif factor in known:
+            product *= known[factor]
+        else:
+            return None
+    return product
+
+
+def check_scan_concurrency(root, errors):
+    src_path = os.path.join(root, "src", "engine", "scan.cc")
+    doc_path = os.path.join(root, "docs", "ARCHITECTURE.md")
+    try:
+        with open(src_path, encoding="utf-8") as f:
+            src = f.read()
+        with open(doc_path, encoding="utf-8") as f:
+            doc = f.read()
+    except OSError as e:
+        errors.append(f"scan concurrency check: unreadable input ({e})")
+        return
+    known = {}
+    for name, expr in SCAN_CONST_RE.findall(src):
+        value = eval_const(expr, known)
+        if value is not None:
+            known[name] = value
+    para = DOWNLOAD_PARA_RE.search(doc)
+    if para is None:
+        errors.append("docs/ARCHITECTURE.md: no '**Download concurrency.**' "
+                      "paragraph")
+        return
+    text = " ".join(para.group(1).split())  # Phrases may wrap lines.
+    for name, phrase, unit in SCAN_DOC_PHRASES:
+        if name not in known:
+            errors.append(f"src/engine/scan.cc: no constexpr {name} with a "
+                          f"constant integer value")
+            continue
+        stated = re.findall(phrase, text)
+        if len(stated) != 1:
+            errors.append(
+                f"docs/ARCHITECTURE.md: the Download concurrency paragraph "
+                f"must state {name} once, as '{phrase}' (found "
+                f"{len(stated)})")
+        elif int(stated[0]) * unit != known[name]:
+            errors.append(
+                f"docs/ARCHITECTURE.md: the Download concurrency paragraph "
+                f"states {int(stated[0]) * unit} for {name}, but "
+                f"src/engine/scan.cc has {known[name]}")
+
+
 def main(argv):
     root = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.abspath(
         os.path.join(os.path.dirname(__file__), os.pardir))
@@ -432,13 +514,15 @@ def main(argv):
     check_metric_registry(root, errors)
     check_serving_metrics(root, errors)
     check_span_table(root, errors)
+    check_scan_concurrency(root, errors)
     for e in errors:
         print(f"check_docs: {e}", file=sys.stderr)
     if errors:
         return 1
     print("check_docs: README bench rows, trajectory files, markdown links, "
           "encoding tags, the TPC-H matrix, the metric registry, the "
-          "serving metric names, and the span table are clean")
+          "serving metric names, the span table, and the scan's "
+          "concurrency constants are clean")
     return 0
 
 

@@ -10,8 +10,12 @@ namespace {
 using format::FileReader;
 using format::S3Source;
 
-/// Row groups of one file downloaded at once (concurrency level 3).
+/// Row groups of one file downloading at once (concurrency level 3). A
+/// group hands its slot on when its last GET lands.
 constexpr int kRowGroupParallelism = 2;
+/// Row groups of one file between start and emit: the pair downloading
+/// plus the pair still decompressing behind it.
+constexpr int kRowGroupResidency = 2 * kRowGroupParallelism;
 /// Extents of one row group fetched at once (level 2).
 constexpr int kColumnFetchParallelism = 4;
 /// Row-group IO coalescing budget in MODELED bytes: a projected column
@@ -191,10 +195,12 @@ sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
       }
     }
 
-    // Level (3): download up to kRowGroupParallelism row groups
-    // asynchronously, overlapping download with decompression and the
-    // downstream pipeline.
-    sim::Semaphore gate(sim, kRowGroupParallelism);
+    // Level (3): up to kRowGroupParallelism row groups download at once.
+    // ReadRowGroup hands a group's download slot on when its last GET
+    // lands, so the next pair downloads while this pair decompresses; a
+    // group holds one of kRowGroupResidency slots from start to emit.
+    sim::Semaphore downloads(sim, kRowGroupParallelism);
+    sim::Semaphore residency(sim, kRowGroupResidency);
     Status sink_status = Status::OK();
     // Completed chunks park here until every lower-indexed row group has
     // been emitted: the sink runs synchronously (zero virtual time), so
@@ -212,14 +218,15 @@ sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
                          std::shared_ptr<FileReader> rdr, double scale,
                          int rg_idx, std::vector<int> proj_cols,
                          const std::map<int, format::ColumnBound>* bnds,
-                         sim::Semaphore* g, obs::MetricsRegistry* out,
+                         sim::Semaphore* dl, sim::Semaphore* res,
+                         obs::MetricsRegistry* out,
                          const std::function<Status(const TableChunk&)>* snk,
                          Status* sink_st,
                          std::vector<std::optional<TableChunk>>* pend,
                          size_t* next_out, size_t my_slot,
                          const std::string* file_key,
                          uint64_t parent_span) -> sim::Async<void> {
-        co_await g->Acquire();
+        co_await res->Acquire();
         obs::Tracer* tracer = e->tracer();
         const double rg_start = e->sim()->Now();
         uint64_t rg_span =
@@ -231,18 +238,18 @@ sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
         // Level (2): column chunks of this group fetched concurrently
         // (coalesced into extents), with dict-code predicate push-down.
         auto chunk = co_await rdr->ReadRowGroup(
-            rg_idx, proj_cols, kColumnFetchParallelism, bnds, rg_span);
+            rg_idx, proj_cols, kColumnFetchParallelism, bnds, rg_span, dl);
         if (!chunk.ok()) {
           if (sink_st->ok()) *sink_st = chunk.status();
           obs::End(tracer, rg_span);
-          g->Release();
+          res->Release();
           co_return;
         }
         Status mem = e->ReserveMemory(chunk->memory_bytes());
         if (!mem.ok()) {
           if (sink_st->ok()) *sink_st = mem;
           obs::End(tracer, rg_span);
-          g->Release();
+          res->Release();
           co_return;
         }
         out->Add(obs::Metric::kRowsScanned,
@@ -262,7 +269,7 @@ sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
             if (sink_st->ok()) *sink_st = filtered.status();
             e->ReleaseMemory(result.memory_bytes());
             obs::End(tracer, rg_span);
-            g->Release();
+            res->Release();
             co_return;
           }
           int64_t before = result.memory_bytes();
@@ -283,10 +290,10 @@ sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
         out->Observe(obs::Metric::kScanRowGroupTime,
                      e->sim()->Now() - rg_start);
         obs::End(tracer, rg_span);
-        g->Release();
-      }(&env, &options, reader, st.scale, rg, proj, &dict_bounds, &gate,
-        &metrics, &sink, &sink_status, &pending, &next_emit, slot, &st.ref.key,
-        scan_span));
+        res->Release();
+      }(&env, &options, reader, st.scale, rg, proj, &dict_bounds, &downloads,
+        &residency, &metrics, &sink, &sink_status, &pending, &next_emit, slot,
+        &st.ref.key, scan_span));
     }
     co_await sim::WhenAllVoid(sim, std::move(tasks));
     // A failed row group leaves a hole that blocks the in-order flush;
@@ -297,11 +304,12 @@ sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
         leftover.reset();
       }
     }
-    // Report MODELED bytes: a virtually-scaled object moves scale x more
-    // bytes through the simulated network than its real backing store.
+    // Count the bytes as the store bills them: ranged reads at the
+    // object's virtual scale, the footer tail at its real size.
     metrics.Add(obs::Metric::kScanBytesMoved,
                 static_cast<int64_t>(
-                    static_cast<double>(reader->bytes_fetched()) * st.scale));
+                    static_cast<double>(reader->bytes_fetched()) * st.scale) +
+                    st.source->tail_bytes());
     metrics.Add(obs::Metric::kRowsDictFiltered, reader->rows_dict_filtered());
     if (!sink_status.ok()) {
       scan_error = sink_status;

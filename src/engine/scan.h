@@ -26,8 +26,11 @@ struct FileRef {
 /// the paper's four levels of download concurrency:
 ///   (1) chunked requests within one read      -> source.chunk_bytes/conns
 ///   (2) concurrent column chunks of one group -> kColumnFetchParallelism
-///   (3) concurrent row groups                 -> kRowGroupParallelism
+///   (3) row groups downloading at once        -> kRowGroupParallelism
 ///   (4) metadata of all files ahead of data   -> always prefetched
+/// A row group hands its level-(3) slot on when its last GET lands and
+/// decompresses on without it, so the next groups download meanwhile; at
+/// most 2 x kRowGroupParallelism groups are between start and emit.
 /// Only the request size varies per query; levels (2)-(4) and the
 /// row-group IO coalescing budget are constants of scan.cc.
 struct ScanOptions {
@@ -50,8 +53,8 @@ inline constexpr double kFilterCpuSecondsPerRow = 4e-9;
 /// and feeds surviving chunks to `sink`. The sink typically is the fused
 /// (JIT-substituted) pipeline: filter residual -> aggregate. Returns the
 /// scan's metrics under the scan.* names of src/obs/metrics.h; its byte
-/// counter holds MODELED bytes (real bytes times each object's virtual
-/// scale), so it equals real bytes on unscaled data.
+/// counter holds the bytes the store billed: ranged reads at each object's
+/// virtual scale, footer tails at their real size.
 sim::Async<Result<obs::MetricsRegistry>> S3ParquetScan(
     cloud::WorkerEnv& env, std::vector<FileRef> files,
     const ScanOptions& options,

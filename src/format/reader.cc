@@ -47,7 +47,6 @@ sim::Async<Result<std::shared_ptr<FileReader>>> FileReader::Open(
   auto tail = co_await source->ReadTail(kFooterProbeBytes);
   if (!tail.ok()) co_return tail.status();
   const BufferPtr& probe = tail->data;
-  int64_t fetched = static_cast<int64_t>(probe->size());
   if (probe->size() < 12) co_return Status::IOError("file too small");
   const uint8_t* end = probe->data() + probe->size();
   if (std::memcmp(end - 4, kMagic, 4) != 0) {
@@ -60,6 +59,7 @@ sim::Async<Result<std::shared_ptr<FileReader>>> FileReader::Open(
   if (footer_start < 4) co_return Status::IOError("corrupt footer length");
 
   BufferPtr footer;
+  int64_t ranged_bytes = 0;
   int64_t probe_start = tail->file_size - static_cast<int64_t>(probe->size());
   if (footer_start >= probe_start) {
     footer = probe->Slice(static_cast<size_t>(footer_start - probe_start),
@@ -69,7 +69,7 @@ sim::Async<Result<std::shared_ptr<FileReader>>> FileReader::Open(
     auto r = co_await source->ReadAt(footer_start, footer_len);
     if (!r.ok()) co_return r.status();
     footer = *r;
-    fetched += static_cast<int64_t>(footer->size());
+    ranged_bytes = static_cast<int64_t>(footer->size());
   }
   auto meta = FileMetadata::Parse(footer->data(), footer->size());
   if (!meta.ok()) co_return meta.status();
@@ -78,7 +78,7 @@ sim::Async<Result<std::shared_ptr<FileReader>>> FileReader::Open(
   auto reader = std::shared_ptr<FileReader>(
       new FileReader(std::move(source), std::move(options),
                      *std::move(meta)));
-  reader->bytes_fetched_ = fetched;
+  reader->bytes_fetched_ = ranged_bytes;
   co_return reader;
 }
 
@@ -99,7 +99,7 @@ sim::Async<void> FileReader::FetchExtent(
     const std::vector<uint8_t>& keep_bytes,
     std::vector<std::vector<uint8_t>>* chunk_data,
     std::vector<std::optional<engine::Column>>* decoded, Status* error,
-    uint64_t trace_span) {
+    uint64_t trace_span, DownloadSlot* slot) {
   obs::Tracer* tracer = options_.tracer;
   uint64_t get_span = obs::Begin(tracer, trace_span, "scan", "get");
   if (get_span != 0) {
@@ -111,6 +111,7 @@ sim::Async<void> FileReader::FetchExtent(
       static_cast<int64_t>(extent->begin),
       static_cast<int64_t>(extent->end - extent->begin));
   obs::End(tracer, get_span);
+  slot->Landed();
   if (!raw.ok()) {
     if (error->ok()) *error = raw.status();
     co_return;
@@ -153,7 +154,8 @@ sim::Async<void> FileReader::FetchExtent(
 
 sim::Async<Result<TableChunk>> FileReader::ReadRowGroup(
     int rg, std::vector<int> columns, int fetch_parallelism,
-    const std::map<int, ColumnBound>* bounds, uint64_t trace_span) {
+    const std::map<int, ColumnBound>* bounds, uint64_t trace_span,
+    sim::Semaphore* download_slots) {
   if (rg < 0 || rg >= num_row_groups()) {
     co_return Status::OutOfRange("row group index out of range");
   }
@@ -225,6 +227,10 @@ sim::Async<Result<TableChunk>> FileReader::ReadRowGroup(
   std::vector<std::vector<uint8_t>> chunk_data(columns.size());
   sim::Simulator* sim = options_.sim;
   Status fetch_error = Status::OK();
+  // The slot is taken only now, with the extents planned, and handed on
+  // when the last GET lands (DownloadSlot::Landed), not when decoding ends.
+  if (download_slots != nullptr) co_await download_slots->Acquire();
+  DownloadSlot slot{download_slots, extents.size()};
   if (sim != nullptr && fetch_parallelism > 1 && extents.size() > 1) {
     sim::Semaphore gate(sim, fetch_parallelism);
     std::vector<sim::Async<void>> fetches;
@@ -237,23 +243,28 @@ sim::Async<Result<TableChunk>> FileReader::ReadRowGroup(
                            const std::vector<uint8_t>* kb,
                            std::vector<std::vector<uint8_t>>* out,
                            std::vector<std::optional<Column>>* dec,
-                           Status* err, uint64_t span) -> sim::Async<void> {
+                           Status* err, uint64_t span,
+                           DownloadSlot* ds) -> sim::Async<void> {
         co_await g->Acquire();
         co_await self->FetchExtent(ext, *ks, *cols, *meta, *kb, out, dec,
-                                   err, span);
+                                   err, span, ds);
         g->Release();
       }(this, &gate, &extents[e], &extent_chunks[e], &columns, &rg_meta,
-        &keep_bytes, &chunk_data, &decoded, &fetch_error, trace_span));
+        &keep_bytes, &chunk_data, &decoded, &fetch_error, trace_span,
+        &slot));
     }
     co_await sim::WhenAllVoid(sim, std::move(fetches));
   } else {
     for (size_t e = 0; e < extents.size(); ++e) {
       co_await FetchExtent(&extents[e], extent_chunks[e], columns, rg_meta,
                            keep_bytes, &chunk_data, &decoded, &fetch_error,
-                           trace_span);
+                           trace_span, &slot);
       if (!fetch_error.ok()) break;
     }
   }
+  // A read with no extents, or one that stopped at its first failed GET,
+  // still holds its slot.
+  slot.HandOn();
   if (!fetch_error.ok()) co_return fetch_error;
 
   auto proj_schema =

@@ -5,6 +5,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -98,13 +99,23 @@ class FileReader {
   /// `trace_span` (with ReaderOptions::tracer set) parents the read's
   /// extent-GET/decode/dict-filter spans — typically the scan's per-row-
   /// group span.
+  ///
+  /// `download_slots` (optional; the scan's concurrency level (3)) bounds
+  /// the row groups downloading at once. The read takes one slot before
+  /// its first GET and hands it on as soon as its last GET lands, while
+  /// the extents that landed last are still decompressing, so the next
+  /// group's transfers overlap this group's decode. Every path out of the
+  /// read, errors included, has handed its slot on.
   sim::Async<Result<engine::TableChunk>> ReadRowGroup(
       int rg, std::vector<int> columns, int fetch_parallelism = 1,
       const std::map<int, ColumnBound>* bounds = nullptr,
-      uint64_t trace_span = 0);
+      uint64_t trace_span = 0, sim::Semaphore* download_slots = nullptr);
 
-  /// Bytes fetched from the source so far (footer probe + data extents,
-  /// including coalescing gap bytes) — the file's real bytes moved.
+  /// Bytes of the ranged reads so far: the data extents (coalescing gap
+  /// bytes included) and a footer too large for the tail probe. An object
+  /// store bills these at the object's virtual scale; the tail probe,
+  /// billed at its real size (or served by a metadata cache), is not
+  /// counted here.
   int64_t bytes_fetched() const { return bytes_fetched_; }
   /// Rows dropped by dictionary-code predicate evaluation.
   int64_t rows_dict_filtered() const { return rows_dict_filtered_; }
@@ -115,6 +126,20 @@ class FileReader {
     uint64_t begin = 0;
     uint64_t end = 0;
     BufferPtr data;
+  };
+
+  /// A ReadRowGroup's download slot: held until the read's last GET lands.
+  struct DownloadSlot {
+    sim::Semaphore* slots = nullptr;
+    size_t gets_left = 0;
+
+    void Landed() {
+      if (--gets_left == 0) HandOn();
+    }
+    /// Releases the slot once; later calls do nothing.
+    void HandOn() {
+      if (slots != nullptr) std::exchange(slots, nullptr)->Release();
+    }
   };
 
   FileReader(std::shared_ptr<RandomAccessSource> source,
@@ -133,7 +158,8 @@ class FileReader {
   /// codec and decode CPU overlap the other extents' transfers. Columns
   /// flagged in `keep_bytes` (dict chunks awaiting code-range predicate
   /// evaluation) stop at decompressed bytes in `chunk_data`; the rest
-  /// decode straight into `decoded`. The raw extent buffer is freed
+  /// decode straight into `decoded`. The GET's landing is reported to
+  /// `slot` before any decoding. The raw extent buffer is freed
   /// afterwards; the first error lands in `error`.
   sim::Async<void> FetchExtent(Extent* extent,
                                const std::vector<size_t>& chunk_positions,
@@ -143,7 +169,8 @@ class FileReader {
                                std::vector<std::vector<uint8_t>>* chunk_data,
                                std::vector<std::optional<engine::Column>>*
                                    decoded,
-                               Status* error, uint64_t trace_span);
+                               Status* error, uint64_t trace_span,
+                               DownloadSlot* slot);
 
   std::shared_ptr<RandomAccessSource> source_;
   ReaderOptions options_;

@@ -113,6 +113,7 @@ sim::Async<Result<RandomAccessSource::Tail>> S3Source::ReadTail(
   ++request_count_;
   auto r = co_await client_.GetTail(bucket_, key_, length);
   if (!r.ok()) co_return r.status();
+  tail_bytes_ += static_cast<int64_t>(r->data->size());
   if (options_.meta != nullptr) {
     // Best-effort fill; a failed write just means the next query misses.
     co_await options_.meta->PutFooter(client_.ctx(), bucket_, key_, length,

@@ -82,6 +82,9 @@ class S3Source final : public RandomAccessSource {
 
   /// Number of GET requests issued so far by this source.
   int64_t request_count() const { return request_count_; }
+  /// Bytes its tail GETs returned, which the store bills at their real
+  /// size. A tail the metadata cache served was no GET and adds nothing.
+  int64_t tail_bytes() const { return tail_bytes_; }
 
  private:
   cloud::S3Client client_;
@@ -89,6 +92,7 @@ class S3Source final : public RandomAccessSource {
   std::string key_;
   Options options_;
   int64_t request_count_ = 0;
+  int64_t tail_bytes_ = 0;
 };
 
 }  // namespace lambada::format

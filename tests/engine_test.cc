@@ -2,6 +2,9 @@
 
 #include "test_util.h"
 
+#include <algorithm>
+#include <cstring>
+#include <map>
 #include <set>
 
 #include "cloud/cloud.h"
@@ -13,7 +16,9 @@
 #include "engine/partition.h"
 #include "engine/scan.h"
 #include "engine/table.h"
+#include "format/metadata.h"
 #include "format/writer.h"
+#include "obs/trace.h"
 
 namespace lambada::engine {
 namespace {
@@ -534,39 +539,61 @@ class ScanFixture : public ::testing::Test {
     }
   }
 
-  /// Runs a scan inside a worker and returns (metrics, total rows seen).
-  std::pair<obs::MetricsRegistry, int64_t> RunScan(ScanOptions options) {
+  /// What one scan inside a worker saw.
+  struct ScanRun {
+    Status status = Status::Internal("scan did not return");
     obs::MetricsRegistry stats;
     int64_t rows = 0;
+    /// Worker memory still reserved when the scan returned.
+    int64_t memory_left = -1;
+    /// The ledger's growth over the run: the scan's bill.
+    cloud::CostSnapshot bill;
+  };
+
+  /// Scans `files` inside a fresh worker of `memory_mib` and runs the
+  /// simulator until it drains.
+  ScanRun Scan(std::vector<FileRef> files, ScanOptions options,
+               int memory_mib = 2048) {
+    ScanRun run;
     cloud::FunctionConfig fn;
-    fn.name = "scanner";
-    fn.memory_mib = 2048;
+    fn.name = "scanner-" + std::to_string(functions_++);
+    fn.memory_mib = memory_mib;
     fn.handler = [&](cloud::WorkerEnv& env,
                      std::string) -> sim::Async<Status> {
-      std::vector<FileRef> files;
-      for (int f = 0; f < 3; ++f) {
-        files.push_back(FileRef{"data", "part-" + std::to_string(f) + ".lpq"});
-      }
       auto r = co_await S3ParquetScan(env, files, options,
                                       [&](const TableChunk& chunk) {
-                                        rows += chunk.num_rows();
+                                        run.rows += chunk.num_rows();
                                         return Status::OK();
                                       });
-      if (!r.ok()) co_return r.status();
-      stats = *r;
+      run.status = r.status();
+      if (r.ok()) run.stats = *r;
+      run.memory_left = env.memory_used();
       co_return Status::OK();
     };
     LAMBADA_CHECK_OK(cloud_.faas().CreateFunction(fn));
-    sim::Spawn([](cloud::Cloud* c) -> sim::Async<void> {
+    const cloud::CostSnapshot before = cloud_.ledger().Snapshot();
+    sim::Spawn([](cloud::Cloud* c, std::string name) -> sim::Async<void> {
       co_await c->faas().Invoke(c->driver_invoker_profile(),
-                                &c->driver_rng(), "scanner", "");
-    }(&cloud_));
+                                &c->driver_rng(), name, "");
+    }(&cloud_, fn.name));
     cloud_.sim().Run();
-    LAMBADA_CHECK_EQ(cloud_.faas().failed_handlers(), 0);
-    return {stats, rows};
+    run.bill = cloud_.ledger().Snapshot() - before;
+    return run;
+  }
+
+  /// Runs a scan of the three files and returns (metrics, total rows seen).
+  std::pair<obs::MetricsRegistry, int64_t> RunScan(ScanOptions options) {
+    std::vector<FileRef> files;
+    for (int f = 0; f < 3; ++f) {
+      files.push_back(FileRef{"data", "part-" + std::to_string(f) + ".lpq"});
+    }
+    ScanRun run = Scan(std::move(files), std::move(options));
+    LAMBADA_CHECK_OK(run.status);
+    return {run.stats, run.rows};
   }
 
   cloud::Cloud cloud_;
+  int functions_ = 0;
 };
 
 TEST_F(ScanFixture, FullScanSeesAllRows) {
@@ -634,31 +661,9 @@ TEST_F(ScanFixture, ScaledObjectsDescaleChunkAndCoalescingBudgets) {
     ScanOptions opts;
     opts.filter = Col("id") >= Lit(0);
     opts.source.chunk_bytes = 4 * 1024;  // Modeled bytes.
-    obs::MetricsRegistry stats;
-    int64_t rows = 0;
-    static int counter = 0;
-    cloud::FunctionConfig fn;
-    fn.name = "scaled-scanner-" + std::to_string(counter++);
-    fn.memory_mib = 2048;
-    fn.handler = [&, bucket](cloud::WorkerEnv& env,
-                             std::string) -> sim::Async<Status> {
-      std::vector<FileRef> files = {FileRef{bucket, "part-0.lpq"}};
-      auto r = co_await S3ParquetScan(env, files, opts,
-                                      [&](const TableChunk& chunk) {
-                                        rows += chunk.num_rows();
-                                        return Status::OK();
-                                      });
-      if (!r.ok()) co_return r.status();
-      stats = *r;
-      co_return Status::OK();
-    };
-    LAMBADA_CHECK_OK(cloud_.faas().CreateFunction(fn));
-    sim::Spawn([](cloud::Cloud* c, std::string name) -> sim::Async<void> {
-      co_await c->faas().Invoke(c->driver_invoker_profile(),
-                                &c->driver_rng(), name, "");
-    }(&cloud_, fn.name));
-    cloud_.sim().Run();
-    return std::make_pair(stats, rows);
+    ScanRun run = Scan({FileRef{bucket, "part-0.lpq"}}, opts);
+    LAMBADA_CHECK_OK(run.status);
+    return run;
   };
   // Re-upload file 0 into a second bucket with a x100 virtual scale.
   auto blob = cloud_.s3().GetDirect("data", "part-0.lpq");
@@ -667,14 +672,147 @@ TEST_F(ScanFixture, ScaledObjectsDescaleChunkAndCoalescingBudgets) {
   ASSERT_TRUE(cloud_.s3()
                   .PutDirect("scaled", "part-0.lpq", *blob, 100.0)
                   .ok());
-  auto [plain_stats, plain_rows] = scan("data");
-  auto [scaled_stats, scaled_rows] = scan("scaled");
-  EXPECT_EQ(scaled_rows, plain_rows);
+  ScanRun plain = scan("data");
+  ScanRun scaled = scan("scaled");
+  EXPECT_EQ(scaled.rows, plain.rows);
   // The descaled chunk (4 KiB / 100 = ~41 B real) splits each row-group
   // extent (a few hundred real bytes — the codec crushes these columns)
   // into several GETs; the unscaled scan reads each extent whole.
-  EXPECT_GT(scaled_stats.counter(Metric::kScanGetRequests),
-            2 * plain_stats.counter(Metric::kScanGetRequests));
+  EXPECT_GT(scaled.stats.counter(Metric::kScanGetRequests),
+            2 * plain.stats.counter(Metric::kScanGetRequests));
+  // The bytes moved are what the store billed: ranged reads at the
+  // object's scale, the footer tail at its real size.
+  EXPECT_EQ(scaled.stats.counter(Metric::kScanBytesMoved),
+            scaled.bill.s3_bytes_read);
+  EXPECT_EQ(plain.stats.counter(Metric::kScanBytesMoved),
+            plain.bill.s3_bytes_read);
+}
+
+/// Puts an 8-row-group file of values the codec cannot crush at
+/// data/<key>, virtually scaled to ~500 MB like the paper's files, so that
+/// each group's GETs and its decompression both take a while on a
+/// one-vCPU (1,792 MiB) worker: the shape of a cold Q1 worker. Returns
+/// the file's bytes.
+std::vector<uint8_t> PutEightRowGroupFile(cloud::Cloud* cloud,
+                                          const std::string& key) {
+  auto schema = std::make_shared<Schema>(std::vector<Field>{
+      {"a", DataType::kInt64}, {"b", DataType::kFloat64}});
+  Rng rng(7);
+  std::vector<int64_t> as;
+  std::vector<double> bs;
+  for (int i = 0; i < 8 * 2000; ++i) {
+    as.push_back(static_cast<int64_t>(rng.Next()));
+    bs.push_back(rng.NextDouble());
+  }
+  format::WriterOptions wo;
+  wo.row_group_rows = 2000;
+  auto file = format::FileWriter::WriteTable(
+      TableChunk(schema, {Column::Int64(std::move(as)),
+                          Column::Float64(std::move(bs))}),
+      wo);
+  LAMBADA_CHECK_OK(file.status());
+  LAMBADA_CHECK_OK(cloud->s3().PutDirect(
+      "data", key, Buffer::FromVector(std::vector<uint8_t>(*file)), 2000.0));
+  return *std::move(file);
+}
+
+/// The most intervals open at one instant. One that closes at t and one
+/// that opens at t do not overlap: a slot handed on at t is taken at t.
+int MaxOverlap(const std::vector<std::pair<double, double>>& intervals) {
+  std::vector<std::pair<double, int>> edges;
+  for (const auto& [begin, end] : intervals) {
+    edges.emplace_back(begin, 1);
+    edges.emplace_back(end, -1);
+  }
+  std::sort(edges.begin(), edges.end());  // At a tie, -1 sorts first.
+  int open = 0, most = 0;
+  for (const auto& [at, delta] : edges) {
+    open += delta;
+    most = std::max(most, open);
+  }
+  return most;
+}
+
+TEST_F(ScanFixture, NextRowGroupsDownloadWhileEarlierOnesDecode) {
+  PutEightRowGroupFile(&cloud_, "eight.lpq");
+  obs::Tracer tracer(&cloud_.sim());
+  cloud_.faas().set_tracer(&tracer);
+  ScanRun run = Scan({FileRef{"data", "eight.lpq"}}, ScanOptions{}, 1792);
+  cloud_.faas().set_tracer(nullptr);
+  ASSERT_TRUE(run.status.ok()) << run.status.ToString();
+  EXPECT_EQ(run.rows, 8 * 2000);
+
+  // Per row group: its span, its first GET's start, its last GET's
+  // landing and its last decode's end.
+  struct Group {
+    double start = 0, end = 0;
+    double first_get = 1e300, last_get = -1, last_decode = -1;
+  };
+  std::map<uint64_t, int> rg_of_span;
+  std::map<int, Group> groups;
+  for (const auto& span : tracer.spans()) {
+    if (span.name != "rowgroup") continue;
+    for (const auto& [k, v] : span.args) {
+      if (k == "rg") rg_of_span[span.id] = std::stoi(v);
+    }
+    Group& g = groups[rg_of_span.at(span.id)];
+    g.start = span.start;
+    g.end = span.end;
+  }
+  ASSERT_EQ(groups.size(), 8u);
+  for (const auto& span : tracer.spans()) {
+    auto it = rg_of_span.find(span.parent);
+    if (it == rg_of_span.end()) continue;
+    Group& g = groups[it->second];
+    if (span.name == "get") {
+      g.first_get = std::min(g.first_get, span.start);
+      g.last_get = std::max(g.last_get, span.end);
+    } else if (span.name == "decode") {
+      g.last_decode = std::max(g.last_decode, span.end);
+    }
+  }
+  // (a) Row group 2 starts downloading when row group 0 or 1 has landed
+  // its last GET, while both are still decompressing.
+  EXPECT_LT(groups[2].first_get, groups[0].last_decode);
+  EXPECT_LT(groups[2].first_get, groups[1].last_decode);
+  // (b) At most kRowGroupParallelism (2) groups download at once, and at
+  // most twice that are between start and emit; both bounds are reached.
+  std::vector<std::pair<double, double>> downloading, resident;
+  for (const auto& [rg, g] : groups) {
+    downloading.emplace_back(g.first_get, g.last_get);
+    resident.emplace_back(g.start, g.end);
+  }
+  EXPECT_EQ(MaxOverlap(downloading), 2);
+  EXPECT_EQ(MaxOverlap(resident), 4);
+}
+
+TEST_F(ScanFixture, FailedGetMidFileHandsEverySlotBack) {
+  // Row groups 0-3 intact, then the footer: every GET of a later group
+  // reaches past the object's end.
+  std::vector<uint8_t> file = PutEightRowGroupFile(&cloud_, "eight.lpq");
+  uint32_t footer_len;
+  std::memcpy(&footer_len, file.data() + file.size() - 8, 4);
+  const size_t tail_len = footer_len + 8;
+  auto meta = format::FileMetadata::Parse(
+      file.data() + file.size() - tail_len, footer_len);
+  ASSERT_TRUE(meta.ok());
+  const size_t cut = meta->row_groups[4].columns[0].offset;
+  std::vector<uint8_t> truncated(file.begin(), file.begin() + cut);
+  truncated.insert(truncated.end(), file.end() - tail_len, file.end());
+  ASSERT_TRUE(cloud_.s3()
+                  .PutDirect("data", "truncated.lpq",
+                             Buffer::FromVector(std::move(truncated)), 2000.0)
+                  .ok());
+  ScanRun run =
+      Scan({FileRef{"data", "truncated.lpq"}}, ScanOptions{}, 1792);
+  // The scan returned (no group waits for a slot nobody hands back), with
+  // the failed GET's error (a short read, or a range past the end) and
+  // every chunk's memory released.
+  EXPECT_TRUE(run.status.code() == StatusCode::kIOError ||
+              run.status.code() == StatusCode::kOutOfRange)
+      << run.status.ToString();
+  EXPECT_EQ(run.memory_left, 0);
+  EXPECT_EQ(run.rows, 4 * 2000);
 }
 
 TEST_F(ScanFixture, MissingFileFailsHandler) {
