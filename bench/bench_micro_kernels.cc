@@ -13,8 +13,6 @@
 #include "engine/chunk_serde.h"
 #include "engine/expr.h"
 #include "engine/partition.h"
-#include "exec/exec_context.h"
-#include "exec/thread_pool.h"
 #include "format/encoding.h"
 #include "format/reader.h"
 #include "format/writer.h"
@@ -176,60 +174,6 @@ void BM_FileWrite(benchmark::State& state) {
                           chunk.memory_bytes());
 }
 BENCHMARK(BM_FileWrite);
-
-// ---------------------------------------------------------------------------
-// Morsel-parallel kernels (src/exec): the same partition/serde/codec
-// kernels on 1-8 worker threads. Real time, not CPU time: the work runs on
-// pool threads. On a multi-core host the 4- and 8-thread variants show the
-// speedup the serverless workers get from their extra vCPUs; outputs stay
-// byte-identical by construction (see exec/parallel_for.h).
-// ---------------------------------------------------------------------------
-
-exec::ExecContext BenchCtx(benchmark::State& state) {
-  exec::ExecContext ctx =
-      exec::ExecContext::Parallel(static_cast<int>(state.range(0)));
-  return ctx;
-}
-
-void BM_HashPartitionParallel(benchmark::State& state) {
-  auto chunk = BenchChunk(1 << 20);
-  exec::ExecContext ctx = BenchCtx(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine::HashPartition(chunk, {0}, 64, ctx));
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          chunk.num_rows());
-}
-BENCHMARK(BM_HashPartitionParallel)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_ChunkSerdeParallel(benchmark::State& state) {
-  auto chunk = BenchChunk(1 << 21);
-  exec::ExecContext ctx = BenchCtx(state);
-  for (auto _ : state) {
-    auto bytes = engine::SerializeChunk(chunk, ctx);
-    benchmark::DoNotOptimize(
-        engine::DeserializeChunk(bytes.data(), bytes.size(), ctx));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          chunk.memory_bytes());
-}
-BENCHMARK(BM_ChunkSerdeParallel)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
-
-void BM_FileWriteParallel(benchmark::State& state) {
-  auto chunk = BenchChunk(1 << 17);
-  format::WriterOptions opts;
-  opts.codec = compress::CodecId::kLz;
-  opts.exec = BenchCtx(state);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(format::FileWriter::WriteTable(chunk, opts));
-  }
-  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          chunk.memory_bytes());
-}
-BENCHMARK(BM_FileWriteParallel)
-    ->Arg(1)->Arg(2)->Arg(4)->Arg(8)->UseRealTime();
 
 }  // namespace
 

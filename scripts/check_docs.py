@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Keeps the docs from rotting. Eight checks, run in CI:
+"""Keeps the docs from rotting. Nine checks, run in CI:
 
 1. Every bench binary (bench/bench_*.cc) must appear in the README's
    figure tables, and every committed BENCH_*.json trajectory file must
@@ -37,6 +37,10 @@
    (kRowGroupResidency) and the coalescing budget in MiB
    (kCoalesceGapBytes), so a retuned constant cannot leave the
    documented concurrency behind.
+9. The README's module map must have a `src/<dir>` row for every
+   directory directly under src/, and every src/... path its rows name
+   (brace sets like `fault.{h,cc}` expanded) must exist, so a module can
+   neither land unmapped nor leave a row behind when it goes.
 
 Exit code: 0 when clean, 1 with one line per violation otherwise.
 
@@ -503,6 +507,47 @@ def check_scan_concurrency(root, errors):
                 f"src/engine/scan.cc has {known[name]}")
 
 
+# Module-map rows: `| `src/cloud/fault.{h,cc}` | ... |`.
+MODULE_ROW_RE = re.compile(r"^\|\s*`(src/[^`]*)`\s*\|", re.MULTILINE)
+
+
+def expand_braces(path):
+    """Every path a `{a,b}` brace set in `path` stands for."""
+    m = re.search(r"\{([^{}]*)\}", path)
+    if m is None:
+        return [path]
+    out = []
+    for alt in m.group(1).split(","):
+        out.extend(expand_braces(path[:m.start()] + alt + path[m.end():]))
+    return out
+
+
+def check_module_map(root, errors):
+    readme_path = os.path.join(root, "README.md")
+    try:
+        with open(readme_path, encoding="utf-8") as f:
+            readme = f.read()
+    except OSError as e:
+        errors.append(f"module map check: unreadable input ({e})")
+        return
+    section = readme.split("## Module map", 1)
+    body = section[1].split("\n## ", 1)[0] if len(section) == 2 else ""
+    rows = MODULE_ROW_RE.findall(body)
+    if not rows:
+        errors.append("README.md: '## Module map' table not found")
+        return
+    for row in rows:
+        for path in expand_braces(row):
+            if not os.path.exists(os.path.join(root, path)):
+                errors.append(f"README.md: module map row `{row}` names "
+                              f"{path}, which does not exist")
+    src = os.path.join(root, "src")
+    for name in sorted(os.listdir(src)):
+        if os.path.isdir(os.path.join(src, name)) and \
+                f"src/{name}" not in rows:
+            errors.append(f"README.md: src/{name} has no module map row")
+
+
 def main(argv):
     root = os.path.abspath(argv[1]) if len(argv) > 1 else os.path.abspath(
         os.path.join(os.path.dirname(__file__), os.pardir))
@@ -515,14 +560,15 @@ def main(argv):
     check_serving_metrics(root, errors)
     check_span_table(root, errors)
     check_scan_concurrency(root, errors)
+    check_module_map(root, errors)
     for e in errors:
         print(f"check_docs: {e}", file=sys.stderr)
     if errors:
         return 1
     print("check_docs: README bench rows, trajectory files, markdown links, "
           "encoding tags, the TPC-H matrix, the metric registry, the "
-          "serving metric names, the span table, and the scan's "
-          "concurrency constants are clean")
+          "serving metric names, the span table, the scan's concurrency "
+          "constants, and the module map are clean")
     return 0
 
 

@@ -18,7 +18,6 @@
 #include "cloud/regions.h"
 #include "common/rng.h"
 #include "common/status.h"
-#include "exec/exec_context.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "sim/async.h"
@@ -182,13 +181,8 @@ class WorkerEnv {
   /// Scale factor applied to modeled data sizes and compute work.
   double data_scale = 1.0;
 
-  /// Morsel-driven runtime knobs for this worker's local kernels
-  /// (partition/serde/codec). Host-side configuration like data_scale: it
-  /// never travels in payloads, and the default is strictly serial.
-  exec::ExecContext exec;
-
   // -- Serving hooks ---------------------------------------------------------
-  // Host-side like data_scale/exec: set by FaasService from the invocation,
+  // Host-side like data_scale: set by FaasService from the invocation,
   // never serialized. All default to null, so solo drivers are untouched.
 
   /// Per-query cost ledger; mirrored into net() so every service call this

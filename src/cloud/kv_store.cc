@@ -1,7 +1,5 @@
 #include "cloud/kv_store.h"
 
-#include <cstdlib>
-
 namespace lambada::cloud {
 
 KeyValueStore::KeyValueStore(sim::Simulator* sim, CostLedger* ledger,
@@ -52,40 +50,6 @@ sim::Async<Result<std::string>> KeyValueStore::Get(NetContext ctx,
     co_return Status::NotFound("no such item: " + key);
   }
   co_return kit->second;
-}
-
-sim::Async<Status> KeyValueStore::Delete(NetContext ctx, std::string table,
-                                         std::string key) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
-    co_return Status::NotFound("no such table: " + table);
-  }
-  co_await Latency(ctx);
-  ledger_->AddDdbWrite();
-  if (ctx.attribution != nullptr) ctx.attribution->AddDdbWrite();
-  it->second.erase(key);
-  co_return Status::OK();
-}
-
-sim::Async<Result<int64_t>> KeyValueStore::Increment(NetContext ctx,
-                                                     std::string table,
-                                                     std::string key,
-                                                     int64_t delta) {
-  auto it = tables_.find(table);
-  if (it == tables_.end()) {
-    co_return Status::NotFound("no such table: " + table);
-  }
-  co_await Latency(ctx);
-  ledger_->AddDdbWrite();
-  if (ctx.attribution != nullptr) ctx.attribution->AddDdbWrite();
-  int64_t current = 0;
-  auto kit = it->second.find(key);
-  if (kit != it->second.end()) {
-    current = std::strtoll(kit->second.c_str(), nullptr, 10);
-  }
-  current += delta;
-  it->second[key] = std::to_string(current);
-  co_return current;
 }
 
 Status KeyValueStore::PutDirect(const std::string& table,

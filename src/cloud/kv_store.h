@@ -34,13 +34,6 @@ class KeyValueStore {
                          std::string value);
   sim::Async<Result<std::string>> Get(NetContext ctx, std::string table,
                                       std::string key);
-  sim::Async<Status> Delete(NetContext ctx, std::string table,
-                            std::string key);
-
-  /// Atomic counter increment; returns the new value. DynamoDB supports
-  /// this via UpdateItem with an ADD action.
-  sim::Async<Result<int64_t>> Increment(NetContext ctx, std::string table,
-                                        std::string key, int64_t delta);
 
   /// Host-side access (setup/tests; no simulated cost).
   Result<std::string> GetDirect(const std::string& table,

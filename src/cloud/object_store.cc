@@ -292,15 +292,6 @@ std::vector<ObjectInfo> ObjectStore::ListDirect(
   return out;
 }
 
-Status ObjectStore::Delete(const std::string& bucket,
-                           const std::string& key) {
-  Bucket* b = FindBucket(bucket);
-  if (b == nullptr) return Status::NotFound("no such bucket: " + bucket);
-  b->objects.erase(key);
-  NotifyWrite(bucket, key);
-  return Status::OK();
-}
-
 void ObjectStore::ClearBucket(const std::string& bucket) {
   Bucket* b = FindBucket(bucket);
   if (b != nullptr) b->objects.clear();

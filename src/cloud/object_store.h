@@ -117,7 +117,6 @@ class ObjectStore {
                        const std::string& key) const;
   std::vector<ObjectInfo> ListDirect(const std::string& bucket,
                                      const std::string& prefix) const;
-  Status Delete(const std::string& bucket, const std::string& key);
   /// Removes all objects in a bucket (between experiment repetitions).
   void ClearBucket(const std::string& bucket);
 
@@ -130,9 +129,9 @@ class ObjectStore {
   void set_fault_injector(FaultInjector* fault) { fault_ = fault; }
 
   /// Observer fired whenever a bucket's contents change: after a PUT becomes
-  /// visible, on Delete, on PutDirect, and on ClearBucket (with an empty
-  /// key). The metadata cache uses this to version-bump its entries so a
-  /// rewritten table can never be served from a stale cache line.
+  /// visible, on PutDirect, and on ClearBucket (with an empty key). The
+  /// metadata cache uses this to version-bump its entries so a rewritten
+  /// table can never be served from a stale cache line.
   using WriteObserver =
       std::function<void(const std::string& bucket, const std::string& key)>;
   void set_write_observer(WriteObserver observer) {

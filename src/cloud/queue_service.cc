@@ -10,12 +10,7 @@ QueueService::QueueService(sim::Simulator* sim, CostLedger* ledger,
 
 Status QueueService::CreateQueue(const std::string& name) {
   if (name.empty()) return Status::Invalid("empty queue name");
-  auto it = queues_.find(name);
-  if (it == queues_.end()) {
-    Queue q;
-    q.arrival = std::make_unique<sim::Event>(sim_);
-    queues_.emplace(name, std::move(q));
-  }
+  queues_.try_emplace(name);
   return Status::OK();
 }
 
@@ -37,9 +32,6 @@ sim::Async<Status> QueueService::Send(NetContext ctx, std::string queue,
   ledger_->AddSqsRequest();
   if (ctx.attribution != nullptr) ctx.attribution->AddSqsRequest();
   q->messages.push_back(std::move(body));
-  // Wake all long-pollers; they re-check and re-arm.
-  q->arrival->Set();
-  q->arrival->Reset();
   co_return Status::OK();
 }
 
@@ -56,8 +48,8 @@ sim::Async<Result<std::vector<std::string>>> QueueService::Receive(
   max_messages = std::min(max_messages, config_.max_receive_batch);
   double deadline = sim_->Now() + wait_time_s;
   while (q->messages.empty() && sim_->Now() < deadline) {
-    // Long poll: wait for an arrival pulse, re-checking the deadline with a
-    // coarse poll so that timeouts fire (the pulse may never come).
+    // Long poll: re-check every 50 ms until a message lands or the
+    // deadline passes.
     co_await sim::Sleep(sim_, std::min(0.05, deadline - sim_->Now()));
   }
   std::vector<std::string> out;

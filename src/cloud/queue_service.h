@@ -3,7 +3,6 @@
 
 #include <deque>
 #include <map>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -52,7 +51,6 @@ class QueueService {
  private:
   struct Queue {
     std::deque<std::string> messages;
-    std::unique_ptr<sim::Event> arrival;  // Pulsed on every send.
   };
 
   Queue* FindQueue(const std::string& name);

@@ -163,8 +163,8 @@ uint32_t Hash4(const uint8_t* p) {
   return (v * 2654435761u) >> 16;  // 16-bit hash bucket space.
 }
 
-/// Hash-chain match tables, allocated once per thread and reused by every
-/// compress call on it. A call stamps each entry with `base` plus the
+/// Hash-chain match tables, allocated once and reused by every compress
+/// call on the same thread. A call stamps each entry with `base` plus the
 /// position, and advances `base` past its input, so an entry below the
 /// current base was left by an earlier call and reads as empty: nothing is
 /// ever cleared. `prev` is a ring indexed by position mod 64 Ki: the chain
@@ -192,7 +192,7 @@ std::vector<uint8_t> LzCompress(const uint8_t* input, size_t n,
     return out;
   }
 
-  // Per thread: the writer compresses column chunks concurrently.
+  // thread_local, so calls on different threads never share tables.
   thread_local LzMatchTables tables;
   uint64_t* head = tables.head.data();
   uint64_t* prev = tables.prev.data();

@@ -19,9 +19,9 @@ namespace lambada::core {
 /// QueryReport::fleet_metrics and is always present.
 ///
 /// The rendering is deterministic: a fixed (workload, seed) produces
-/// byte-identical text across runs and worker thread counts, so goldens
-/// can assert on it. Driver::Run fills QueryReport::explain_analyze_text
-/// with this; the SQL frontend's "EXPLAIN ANALYZE <query>" surfaces it.
+/// byte-identical text across runs, so goldens can assert on it.
+/// Driver::Run fills QueryReport::explain_analyze_text with this; the SQL
+/// frontend's "EXPLAIN ANALYZE <query>" surfaces it.
 std::string RenderExplainAnalyze(const PhysicalQuery& physical,
                                  const QueryReport& report);
 

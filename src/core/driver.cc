@@ -775,7 +775,7 @@ Status Driver::EnsureFunction(int memory_mib) {
   fn.name = name;
   fn.memory_mib = memory_mib;
   fn.timeout_s = 900.0;
-  fn.handler = MakeWorkerHandler(options_.worker_exec);
+  fn.handler = MakeWorkerHandler();
   return cloud_->faas().CreateFunction(std::move(fn));
 }
 
@@ -786,6 +786,16 @@ void Driver::ResetWarm(int memory_mib) {
 
 sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
                                             const RunOptions& options) {
+  // Before any simulated request: PlanPhase divides by files_per_worker.
+  if (options.files_per_worker < 1) {
+    co_return Status::Invalid(
+        "RunOptions::files_per_worker must be >= 1, got " +
+        std::to_string(options.files_per_worker));
+  }
+  if (options.num_workers < 0) {
+    co_return Status::Invalid("RunOptions::num_workers must be >= 0, got " +
+                              std::to_string(options.num_workers));
+  }
   if (!installed_) {
     CO_RETURN_NOT_OK(Install());
   }

@@ -7,7 +7,6 @@
 
 #include "cloud/cloud.h"
 #include "core/dataflow.h"
-#include "exec/exec_context.h"
 #include "core/messages.h"
 #include "core/optimizer.h"
 #include "engine/table.h"
@@ -43,11 +42,6 @@ struct DriverOptions {
   /// Default exchange buckets created at install.
   int exchange_buckets = 10;
   std::string exchange_bucket_prefix = "lambada-x";
-  /// Morsel-runtime knobs applied to every worker this driver starts
-  /// (host-side configuration, never in payloads). The serial default
-  /// reproduces the single-threaded virtual-time schedule exactly; other
-  /// settings change timing only — results are byte-identical.
-  exec::ExecContext worker_exec;
   /// Serving mode (core/session_manager.h): each query collects results on
   /// its own SQS queue, since concurrent queries over one deployment would
   /// otherwise steal each other's messages. Off by default: a solo driver
@@ -89,10 +83,10 @@ struct MitigationOptions {
 };
 
 /// Distributed-tracing knobs (docs/OBSERVABILITY.md). Tracing draws no
-/// randomness, sleeps no virtual time, and creates spans only from the
-/// simulation thread, so enabling it changes neither results nor modeled
-/// latency/cost, and the rendered trace is byte-identical across worker
-/// thread counts and across identical (workload, seed) runs.
+/// randomness, sleeps no virtual time, and creates spans in simulator
+/// event order, so enabling it changes neither results nor modeled
+/// latency/cost, and the rendered trace is byte-identical across
+/// identical (workload, seed) runs.
 /// The query's trace is QueryReport::trace; obs::Tracer::ChromeTraceJson
 /// renders it for chrome://tracing or Perfetto.
 struct TraceOptions {
@@ -102,9 +96,10 @@ struct TraceOptions {
 /// Per-query execution knobs (the M and F of Section 5.2).
 struct RunOptions {
   int memory_mib = 1792;
-  /// Files per worker (F). Ignored when num_workers > 0.
+  /// Files per worker (F), at least 1. Ignored when num_workers > 0.
   int files_per_worker = 1;
-  /// Explicit worker count; 0 derives it from the file count and F.
+  /// Explicit worker count; 0 derives it from the file count and F. Run
+  /// rejects a negative count, or an F below 1, as Invalid.
   int num_workers = 0;
   /// Virtual-scaling factor forwarded to workers (DESIGN.md).
   double data_scale = 1.0;

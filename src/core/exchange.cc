@@ -11,7 +11,6 @@
 #include "cloud/object_store.h"
 #include "engine/chunk_serde.h"
 #include "engine/partition.h"
-#include "exec/parallel_for.h"
 
 namespace lambada::core {
 
@@ -251,10 +250,6 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
   auto* sim = env.sim();
   cloud::S3Client client(env.services().s3, env.net());
   const double scale = env.data_scale;
-  // Worker-local kernels are morsel-parallel; requests go out one at a
-  // time, and received slices merge in LIST order, so the thread count
-  // changes neither the request schedule nor any output byte.
-  const exec::ExecContext& xc = env.exec;
   // Round spans parent under the exchange span current at entry; slice
   // retries annotate the active round's "get" span.
   obs::Tracer* tracer = env.tracer();
@@ -334,15 +329,12 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
         if (!keys.ok()) co_return keys;
       }
       std::vector<uint32_t> ids(current.num_rows());
-      exec::ParallelFor(xc, 0, current.num_rows(), [&](size_t b, size_t e) {
-        for (size_t row = b; row < e; ++row) {
-          int dest = static_cast<int>(
-              engine::HashRow(current, key_cols, row) %
-              static_cast<uint64_t>(P));
-          ids[row] = static_cast<uint32_t>(grid.Coord(dest, phase));
-        }
-      });
-      parts = engine::PartitionBy(current, ids, side, xc);
+      for (size_t row = 0; row < ids.size(); ++row) {
+        int dest = static_cast<int>(engine::HashRow(current, key_cols, row) %
+                                    static_cast<uint64_t>(P));
+        ids[row] = static_cast<uint32_t>(grid.Coord(dest, phase));
+      }
+      parts = engine::PartitionBy(current, ids, side);
     }
     co_await env.Compute(static_cast<double>(current.num_rows()) *
                          kPartitionCpuPerRow * scale);
@@ -362,7 +354,7 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
     // state is unobservable.
     const bool crash_mid_writes =
         env.MaybeCrash(cloud::CrashSite::kDuringExchangeWrites);
-    auto combined = engine::SerializeChunksCombined(parts, xc);
+    auto combined = engine::SerializeChunksCombined(parts);
     co_await env.Compute(static_cast<double>(combined.bytes.size()) *
                          kSerializeCpuPerByte * scale);
     const std::string key = prefix + "s" + std::to_string(my_j) + "-" +
@@ -482,8 +474,7 @@ sim::Async<Result<TableChunk>> RunExchange(cloud::WorkerEnv& env,
       m.registry.Add(obs::Metric::kExchangeGetRequests, 1);
       m.registry.Add(obs::Metric::kExchangeBytesRead,
                      static_cast<int64_t>(end - begin));
-      auto chunk =
-          engine::DeserializeChunk((*part)->data(), (*part)->size(), xc);
+      auto chunk = engine::DeserializeChunk((*part)->data(), (*part)->size());
       if (!chunk.ok()) co_return chunk.status();
       co_await env.Compute(static_cast<double>((*part)->size()) *
                            kDeserializeCpuPerByte * scale);

@@ -18,7 +18,7 @@ namespace lambada::core {
 // rest of its range through fixed-size child subtrees. The partitioning
 // is pure arithmetic over (workers, fanout) — no randomness, no shared
 // state — so the same plan expands to byte-identical ID ranges on every
-// thread count, every run, and on both the driver and worker sides.
+// run, and on both the driver and worker sides.
 
 /// Shape of one invocation tree. fanout[0] bounds the driver's direct
 /// invocations (the generation-1 roots); fanout[g] bounds the children a

@@ -22,7 +22,6 @@ QueryService::QueryService(cloud::Cloud* cloud, ServingOptions options)
   dopts.serving_mode = true;
   dopts.function_prefix = options_.function_prefix;
   dopts.result_queue = options_.result_queue;
-  dopts.worker_exec = options_.worker_exec;
   dopts.meta_cache = meta_cache_.get();
   driver_ = std::make_unique<Driver>(cloud_, dopts);
 }

@@ -46,8 +46,6 @@ struct ServingOptions {
   /// keys apart, a solo Driver next to a QueryService never collides.
   std::string function_prefix = "lambada-sw";
   std::string result_queue = "lambada-sw-results";
-  /// Morsel-runtime knobs for every worker this service starts.
-  exec::ExecContext worker_exec;
 };
 
 /// One admission decision, in decision order (deterministic virtual time).

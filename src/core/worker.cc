@@ -324,7 +324,7 @@ sim::Async<Result<TableChunk>> ExecuteFragment(
                                                    current.num_rows()) *
                                kJoinCpuPerRow * env.data_scale);
           auto joined = engine::HashJoin(current, probe_cols, build_chunk,
-                                         build_cols, join.type, env.exec);
+                                         build_cols, join.type);
           if (!joined.ok()) co_return joined.status();
           co_await env.Compute(static_cast<double>(joined->num_rows()) *
                                kJoinCpuPerRow * env.data_scale);
@@ -571,11 +571,6 @@ sim::Async<Status> WorkerMain(cloud::WorkerEnv& env, std::string raw) {
 
 }  // namespace
 
-cloud::Handler MakeWorkerHandler(exec::ExecContext exec) {
-  return [exec](cloud::WorkerEnv& env, std::string payload) {
-    env.exec = exec;
-    return WorkerMain(env, std::move(payload));
-  };
-}
+cloud::Handler MakeWorkerHandler() { return WorkerMain; }
 
 }  // namespace lambada::core

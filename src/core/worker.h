@@ -2,7 +2,6 @@
 #define LAMBADA_CORE_WORKER_H_
 
 #include "cloud/faas.h"
-#include "exec/exec_context.h"
 
 namespace lambada::core {
 
@@ -12,11 +11,7 @@ namespace lambada::core {
 /// executes it (scan -> pipeline -> exchange rounds -> join / partial
 /// aggregation), and posts the result — or the error — to the result
 /// queue in SQS.
-///
-/// `exec` configures the worker-local morsel runtime (host-side like
-/// data_scale: it never travels in payloads). No setting changes result
-/// bytes or the virtual-time schedule.
-cloud::Handler MakeWorkerHandler(exec::ExecContext exec = {});
+cloud::Handler MakeWorkerHandler();
 
 }  // namespace lambada::core
 

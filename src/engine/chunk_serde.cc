@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/binio.h"
-#include "exec/parallel_for.h"
 
 namespace lambada::engine {
 
@@ -34,14 +33,15 @@ const uint8_t* ColumnBytes(const Column& col) {
              : reinterpret_cast<const uint8_t*>(col.f64().data());
 }
 
-}  // namespace
-
+/// Exact size of SerializeChunk(chunk)'s output, without serializing:
+/// what lets combined files be laid out before any byte is copied.
 size_t SerializedChunkSize(const TableChunk& chunk) {
   return HeaderSize(chunk) + chunk.num_columns() * chunk.num_rows() * 8;
 }
 
-void SerializeChunkInto(const TableChunk& chunk, uint8_t* dst,
-                        const exec::ExecContext& ctx) {
+/// Serializes `chunk` into `dst`, which must have room for exactly
+/// SerializedChunkSize(chunk) bytes.
+void SerializeChunkInto(const TableChunk& chunk, uint8_t* dst) {
   BinaryWriter w;
   w.PutVarint(chunk.num_columns());
   for (const auto& f : chunk.schema()->fields()) {
@@ -53,25 +53,22 @@ void SerializeChunkInto(const TableChunk& chunk, uint8_t* dst,
   LAMBADA_DCHECK(header == HeaderSize(chunk));
   std::memcpy(dst, w.bytes().data(), header);
   const size_t rows = chunk.num_rows();
-  // Column payloads land at fixed offsets; morsels copy disjoint slices.
-  exec::ParallelFor(ctx, 0, rows, [&](size_t b, size_t e) {
-    for (size_t c = 0; c < chunk.num_columns(); ++c) {
-      uint8_t* col_dst = dst + header + c * rows * 8;
-      std::memcpy(col_dst + b * 8, ColumnBytes(chunk.column(c)) + b * 8,
-                  (e - b) * 8);
-    }
-  });
+  if (rows == 0) return;  // An empty column's data() may be null.
+  for (size_t c = 0; c < chunk.num_columns(); ++c) {
+    std::memcpy(dst + header + c * rows * 8, ColumnBytes(chunk.column(c)),
+                rows * 8);
+  }
 }
 
-std::vector<uint8_t> SerializeChunk(const TableChunk& chunk,
-                                    const exec::ExecContext& ctx) {
+}  // namespace
+
+std::vector<uint8_t> SerializeChunk(const TableChunk& chunk) {
   std::vector<uint8_t> out(SerializedChunkSize(chunk));
-  SerializeChunkInto(chunk, out.data(), ctx);
+  SerializeChunkInto(chunk, out.data());
   return out;
 }
 
-Result<TableChunk> DeserializeChunk(const uint8_t* data, size_t size,
-                                    const exec::ExecContext& ctx) {
+Result<TableChunk> DeserializeChunk(const uint8_t* data, size_t size) {
   BinaryReader r(data, size);
   ASSIGN_OR_RETURN(uint64_t num_cols, r.GetVarint());
   if (num_cols > 100000) return Status::IOError("implausible column count");
@@ -98,32 +95,21 @@ Result<TableChunk> DeserializeChunk(const uint8_t* data, size_t size,
   std::vector<Column> cols;
   cols.reserve(num_cols);
   for (uint64_t c = 0; c < num_cols; ++c) {
+    const uint8_t* src = payload + c * num_rows * 8;
     if (schema->field(c).type == DataType::kInt64) {
-      cols.push_back(Column::Int64(std::vector<int64_t>(num_rows)));
+      std::vector<int64_t> values(num_rows);
+      if (num_rows > 0) std::memcpy(values.data(), src, num_rows * 8);
+      cols.push_back(Column::Int64(std::move(values)));
     } else {
-      cols.push_back(Column::Float64(std::vector<double>(num_rows)));
+      std::vector<double> values(num_rows);
+      if (num_rows > 0) std::memcpy(values.data(), src, num_rows * 8);
+      cols.push_back(Column::Float64(std::move(values)));
     }
-  }
-  // Guard: with zero columns there is no payload to copy, and num_rows is
-  // attacker-controlled (nothing above bounds it), so don't cut it into
-  // an astronomically long run of empty morsels.
-  if (num_cols > 0) {
-    exec::ParallelFor(ctx, 0, num_rows, [&](size_t b, size_t e) {
-      for (uint64_t c = 0; c < num_cols; ++c) {
-        const uint8_t* src = payload + c * num_rows * 8;
-        uint8_t* dst =
-            cols[c].type() == DataType::kInt64
-                ? reinterpret_cast<uint8_t*>(cols[c].mutable_i64().data())
-                : reinterpret_cast<uint8_t*>(cols[c].mutable_f64().data());
-        std::memcpy(dst + b * 8, src + b * 8, (e - b) * 8);
-      }
-    });
   }
   return TableChunk(std::move(schema), std::move(cols));
 }
 
-CombinedChunks SerializeChunksCombined(const std::vector<TableChunk>& chunks,
-                                       const exec::ExecContext& ctx) {
+CombinedChunks SerializeChunksCombined(const std::vector<TableChunk>& chunks) {
   CombinedChunks out;
   out.offsets.reserve(chunks.size() + 1);
   size_t total = 0;
@@ -133,12 +119,9 @@ CombinedChunks SerializeChunksCombined(const std::vector<TableChunk>& chunks,
   }
   out.offsets.push_back(total);
   out.bytes.resize(total);
-  // One task per chunk: the write-combined file's chunks are disjoint
-  // slices whose offsets were just fixed above, so they serialize
-  // concurrently without changing a single byte of the layout.
-  exec::ParallelForEach(ctx, chunks.size(), [&](size_t i) {
+  for (size_t i = 0; i < chunks.size(); ++i) {
     SerializeChunkInto(chunks[i], out.bytes.data() + out.offsets[i]);
-  });
+  }
   return out;
 }
 

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "engine/table.h"
-#include "exec/exec_context.h"
 
 namespace lambada::engine {
 
@@ -14,26 +13,10 @@ namespace lambada::engine {
 /// This is the wire format of exchange partition files and worker result
 /// messages. Values are raw little-endian: exchange data is written and
 /// read once, so cheap serialization beats compression here.
-///
-/// Serde is morsel-parallel under a threaded ExecContext: the blob layout
-/// is computed up front (SerializedChunkSize is exact), so column payloads
-/// copy into disjoint slices concurrently and the bytes are identical for
-/// every thread count. The default context runs serially.
-std::vector<uint8_t> SerializeChunk(const TableChunk& chunk,
-                                    const exec::ExecContext& ctx = {});
-
-/// Exact size of SerializeChunk(chunk)'s output, without serializing.
-/// This is what lets combined files be laid out before any byte is copied.
-size_t SerializedChunkSize(const TableChunk& chunk);
-
-/// Serializes `chunk` into `dst`, which must have room for exactly
-/// SerializedChunkSize(chunk) bytes.
-void SerializeChunkInto(const TableChunk& chunk, uint8_t* dst,
-                        const exec::ExecContext& ctx = {});
+std::vector<uint8_t> SerializeChunk(const TableChunk& chunk);
 
 /// Inverse of SerializeChunk; validates sizes and reports corruption.
-Result<TableChunk> DeserializeChunk(const uint8_t* data, size_t size,
-                                    const exec::ExecContext& ctx = {});
+Result<TableChunk> DeserializeChunk(const uint8_t* data, size_t size);
 inline Result<TableChunk> DeserializeChunk(const std::vector<uint8_t>& b) {
   return DeserializeChunk(b.data(), b.size());
 }
@@ -41,15 +24,13 @@ inline Result<TableChunk> DeserializeChunk(const std::vector<uint8_t>& b) {
 /// Serializes several chunks back-to-back, returning the blob and the
 /// byte offset of each chunk — the layout of a write-combined exchange
 /// file (Section 4.4.3: "writing all partitions produced by one worker
-/// into a single file"). Chunks serialize in parallel into their
-/// precomputed slices when the context asks for threads.
+/// into a single file").
 struct CombinedChunks {
   std::vector<uint8_t> bytes;
   std::vector<uint64_t> offsets;  ///< Start of each chunk; size = n+1
                                   ///< (last entry = total size).
 };
-CombinedChunks SerializeChunksCombined(const std::vector<TableChunk>& chunks,
-                                       const exec::ExecContext& ctx = {});
+CombinedChunks SerializeChunksCombined(const std::vector<TableChunk>& chunks);
 
 }  // namespace lambada::engine
 

@@ -7,7 +7,6 @@
 #include <utility>
 
 #include "engine/partition.h"
-#include "exec/parallel_for.h"
 
 namespace lambada::engine {
 
@@ -45,8 +44,7 @@ Status ValidateKeys(const TableChunk& chunk, const std::vector<int>& keys,
   return Status::OK();
 }
 
-/// One output column under construction: pre-sized storage that morsels
-/// scatter into through their disjoint write windows.
+/// One output column under construction; each match appends one row.
 struct OutputColumn {
   DataType type;
   const Column* src;  ///< Borrowed source column (probe or build side).
@@ -54,18 +52,11 @@ struct OutputColumn {
   std::vector<int64_t> i64;
   std::vector<double> f64;
 
-  void Resize(size_t n) {
+  void Append(size_t src_row) {
     if (type == DataType::kInt64) {
-      i64.resize(n);
+      i64.push_back(src->i64()[src_row]);
     } else {
-      f64.resize(n);
-    }
-  }
-  void Write(size_t pos, size_t src_row) {
-    if (type == DataType::kInt64) {
-      i64[pos] = src->i64()[src_row];
-    } else {
-      f64[pos] = src->f64()[src_row];
+      f64.push_back(src->f64()[src_row]);
     }
   }
   Column Take() {
@@ -90,7 +81,7 @@ Result<TableChunk> HashJoin(const TableChunk& probe,
                             const std::vector<int>& probe_keys,
                             const TableChunk& build,
                             const std::vector<int>& build_keys,
-                            JoinType type, const exec::ExecContext& ctx) {
+                            JoinType type) {
   if (probe_keys.empty() || probe_keys.size() != build_keys.size()) {
     return Status::Invalid("join key lists must be non-empty and equal");
   }
@@ -144,49 +135,17 @@ Result<TableChunk> HashJoin(const TableChunk& probe,
     }
   }
 
-  // Walks probe row i's matches in build-row order; returns how many were
-  // visited (semi joins stop at the first).
-  auto for_each_match = [&](size_t i, auto&& emit) -> uint64_t {
+  // Probe rows in order; a probe row's matches in build-row order (semi
+  // joins stop at the first).
+  for (size_t i = 0; i < n_probe; ++i) {
     auto it = head.find(HashRow(probe, probe_keys, i));
-    if (it == head.end()) return 0;
-    uint64_t found = 0;
+    if (it == head.end()) continue;
     for (uint32_t r = it->second; r != kNoRow; r = next[r]) {
       if (!KeysEqual(probe, probe_keys, i, build, build_keys, r)) continue;
-      emit(r);
-      ++found;
+      for (auto& col : out) col.Append(col.from_probe ? i : r);
       if (type == JoinType::kLeftSemi) break;
     }
-    return found;
-  };
-
-  // Pass 1: per-morsel match counts fix each morsel's write window, making
-  // pass 2 scatter deterministically for any thread count.
-  const size_t num_morsels = exec::NumMorsels(ctx, n_probe);
-  std::vector<uint64_t> counts(num_morsels, 0);
-  exec::ParallelFor(ctx, 0, n_probe, [&](size_t m, size_t b, size_t e) {
-    uint64_t c = 0;
-    for (size_t i = b; i < e; ++i) c += for_each_match(i, [](uint32_t) {});
-    counts[m] = c;
-  });
-  std::vector<uint64_t> offsets(num_morsels + 1, 0);
-  for (size_t m = 0; m < num_morsels; ++m) {
-    offsets[m + 1] = offsets[m] + counts[m];
   }
-  const size_t total = static_cast<size_t>(offsets[num_morsels]);
-  for (auto& col : out) col.Resize(total);
-
-  // Pass 2: re-walk and materialize into the precomputed windows.
-  exec::ParallelFor(ctx, 0, n_probe, [&](size_t m, size_t b, size_t e) {
-    size_t pos = static_cast<size_t>(offsets[m]);
-    for (size_t i = b; i < e; ++i) {
-      for_each_match(i, [&](uint32_t r) {
-        for (auto& col : out) {
-          col.Write(pos, col.from_probe ? i : static_cast<size_t>(r));
-        }
-        ++pos;
-      });
-    }
-  });
 
   std::vector<Column> columns;
   columns.reserve(out.size());

@@ -7,7 +7,6 @@
 
 #include "common/status.h"
 #include "engine/table.h"
-#include "exec/exec_context.h"
 
 namespace lambada::engine {
 
@@ -37,18 +36,13 @@ std::string_view JoinTypeName(JoinType type);
 /// Key columns must be int64 on both sides and pair up positionally
 /// (probe_keys[i] joins build_keys[i]).
 ///
-/// Determinism contract (mirrors exec/parallel_for.h): output rows appear
-/// in probe-row order, and the matches of one probe row in build-row
-/// order. The probe phase is morsel-parallel — a counting pass fixes each
-/// morsel's write window, then rows scatter into preallocated columns —
-/// so the result is byte-identical for every thread count, including the
-/// serial default.
+/// Output rows appear in probe-row order, and the matches of one probe
+/// row in build-row order.
 Result<TableChunk> HashJoin(const TableChunk& probe,
                             const std::vector<int>& probe_keys,
                             const TableChunk& build,
                             const std::vector<int>& build_keys,
-                            JoinType type,
-                            const exec::ExecContext& ctx = {});
+                            JoinType type);
 
 }  // namespace lambada::engine
 

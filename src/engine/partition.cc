@@ -1,6 +1,6 @@
 #include "engine/partition.h"
 
-#include "exec/parallel_for.h"
+#include <algorithm>
 
 namespace lambada::engine {
 
@@ -36,7 +36,7 @@ uint64_t HashRow(const TableChunk& chunk, const std::vector<int>& key_columns,
 
 Result<std::vector<uint32_t>> ComputePartitionIds(
     const TableChunk& chunk, const std::vector<int>& key_columns,
-    int num_partitions, const exec::ExecContext& ctx) {
+    int num_partitions) {
   if (num_partitions <= 0) {
     return Status::Invalid("num_partitions must be positive");
   }
@@ -46,88 +46,56 @@ Result<std::vector<uint32_t>> ComputePartitionIds(
     }
   }
   std::vector<uint32_t> ids(chunk.num_rows());
-  exec::ParallelFor(ctx, 0, chunk.num_rows(), [&](size_t b, size_t e) {
-    for (size_t row = b; row < e; ++row) {
-      ids[row] = static_cast<uint32_t>(
-          HashRow(chunk, key_columns, row) %
-          static_cast<uint64_t>(num_partitions));
-    }
-  });
+  for (size_t row = 0; row < ids.size(); ++row) {
+    ids[row] = static_cast<uint32_t>(HashRow(chunk, key_columns, row) %
+                                     static_cast<uint64_t>(num_partitions));
+  }
   return ids;
 }
 
 std::vector<TableChunk> PartitionBy(
     const TableChunk& chunk,
-    const std::vector<uint32_t>& partition_of_row, int num_partitions,
-    const exec::ExecContext& ctx) {
+    const std::vector<uint32_t>& partition_of_row, int num_partitions) {
   LAMBADA_CHECK_EQ(partition_of_row.size(), chunk.num_rows());
   const size_t parts = static_cast<size_t>(num_partitions);
   const size_t rows = chunk.num_rows();
   const size_t cols = chunk.num_columns();
 
-  // Pass 1: per-morsel histograms. counts[m][p] = rows of morsel m headed
-  // for partition p. Morsel boundaries are thread-count independent, so
-  // the offsets derived below are too.
-  const size_t num_morsels = exec::NumMorsels(ctx, rows);
-  std::vector<std::vector<uint32_t>> counts(
-      num_morsels, std::vector<uint32_t>(parts, 0));
-  exec::ParallelFor(ctx, 0, rows, [&](size_t m, size_t b, size_t e) {
-    auto& local = counts[m];
-    for (size_t row = b; row < e; ++row) {
-      uint32_t p = partition_of_row[row];
-      LAMBADA_DCHECK(p < static_cast<uint32_t>(num_partitions));
-      ++local[p];
-    }
-  });
-
-  // Exclusive prefix sums over morsels give every (morsel, partition) its
-  // contiguous write window; summing per partition sizes the outputs.
-  std::vector<size_t> part_size(parts, 0);
-  std::vector<std::vector<size_t>> offsets(
-      num_morsels, std::vector<size_t>(parts, 0));
-  for (size_t p = 0; p < parts; ++p) {
-    size_t off = 0;
-    for (size_t m = 0; m < num_morsels; ++m) {
-      offsets[m][p] = off;
-      off += counts[m][p];
-    }
-    part_size[p] = off;
+  // Count every partition's rows, so the outputs are allocated once at
+  // their final size.
+  std::vector<size_t> cursor(parts, 0);
+  for (uint32_t p : partition_of_row) {
+    LAMBADA_DCHECK(p < static_cast<uint32_t>(num_partitions));
+    ++cursor[p];
   }
-
-  // Preallocate output columns at final size.
   std::vector<std::vector<Column>> out_cols(parts);
   for (size_t p = 0; p < parts; ++p) {
     out_cols[p].reserve(cols);
     for (size_t c = 0; c < cols; ++c) {
       if (chunk.column(c).type() == DataType::kInt64) {
-        out_cols[p].push_back(
-            Column::Int64(std::vector<int64_t>(part_size[p])));
+        out_cols[p].push_back(Column::Int64(std::vector<int64_t>(cursor[p])));
       } else {
         out_cols[p].push_back(
-            Column::Float64(std::vector<double>(part_size[p])));
+            Column::Float64(std::vector<double>(cursor[p])));
       }
     }
   }
 
-  // Pass 2: scatter. Each morsel writes its own disjoint window of every
-  // partition; rows keep input order within a partition (morsels are
-  // ordered, rows within a morsel are scanned in order), matching the
-  // sequential row-append result byte for byte.
-  exec::ParallelFor(ctx, 0, rows, [&](size_t m, size_t b, size_t e) {
-    std::vector<size_t> cursor = offsets[m];
-    for (size_t row = b; row < e; ++row) {
-      uint32_t p = partition_of_row[row];
-      size_t dst = cursor[p]++;
-      for (size_t c = 0; c < cols; ++c) {
-        const Column& src = chunk.column(c);
-        if (src.type() == DataType::kInt64) {
-          out_cols[p][c].mutable_i64()[dst] = src.i64()[row];
-        } else {
-          out_cols[p][c].mutable_f64()[dst] = src.f64()[row];
-        }
+  // Each row goes to the next free slot of its partition: rows keep their
+  // input order within a partition.
+  std::fill(cursor.begin(), cursor.end(), 0);
+  for (size_t row = 0; row < rows; ++row) {
+    uint32_t p = partition_of_row[row];
+    size_t dst = cursor[p]++;
+    for (size_t c = 0; c < cols; ++c) {
+      const Column& src = chunk.column(c);
+      if (src.type() == DataType::kInt64) {
+        out_cols[p][c].mutable_i64()[dst] = src.i64()[row];
+      } else {
+        out_cols[p][c].mutable_f64()[dst] = src.f64()[row];
       }
     }
-  });
+  }
 
   std::vector<TableChunk> out;
   out.reserve(parts);
@@ -139,10 +107,10 @@ std::vector<TableChunk> PartitionBy(
 
 Result<std::vector<TableChunk>> HashPartition(
     const TableChunk& chunk, const std::vector<int>& key_columns,
-    int num_partitions, const exec::ExecContext& ctx) {
-  ASSIGN_OR_RETURN(auto ids, ComputePartitionIds(chunk, key_columns,
-                                                 num_partitions, ctx));
-  return PartitionBy(chunk, ids, num_partitions, ctx);
+    int num_partitions) {
+  ASSIGN_OR_RETURN(auto ids,
+                   ComputePartitionIds(chunk, key_columns, num_partitions));
+  return PartitionBy(chunk, ids, num_partitions);
 }
 
 }  // namespace lambada::engine

@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "engine/table.h"
-#include "exec/exec_context.h"
 
 namespace lambada::engine {
 
@@ -18,29 +17,23 @@ uint64_t HashRow(const TableChunk& chunk, const std::vector<int>& key_columns,
 
 /// In-memory partitioning routine (DramPartitioning in Algorithm 1):
 /// splits `chunk` into `num_partitions` chunks by hash of the key columns.
-/// Every input row lands in exactly one output partition.
-///
-/// All partition kernels take an ExecContext and run morsel-parallel when
-/// it asks for threads; rows keep their input order within each output
-/// partition, so the result is byte-identical for every thread count
-/// (the default context runs serially on the calling thread).
+/// Every input row lands in exactly one output partition, and rows keep
+/// their input order within each partition.
 Result<std::vector<TableChunk>> HashPartition(
     const TableChunk& chunk, const std::vector<int>& key_columns,
-    int num_partitions, const exec::ExecContext& ctx = {});
+    int num_partitions);
 
 /// Like HashPartition but with an arbitrary row -> partition projection
 /// (used by the multi-level exchange, which partitions by coordinate).
-/// Two deterministic passes: a per-morsel histogram fixes each morsel's
-/// write offsets, then rows scatter into preallocated columns in parallel.
+/// Each row is appended to its partition in input order.
 std::vector<TableChunk> PartitionBy(
     const TableChunk& chunk,
-    const std::vector<uint32_t>& partition_of_row, int num_partitions,
-    const exec::ExecContext& ctx = {});
+    const std::vector<uint32_t>& partition_of_row, int num_partitions);
 
 /// Computes each row's target partition id.
 Result<std::vector<uint32_t>> ComputePartitionIds(
     const TableChunk& chunk, const std::vector<int>& key_columns,
-    int num_partitions, const exec::ExecContext& ctx = {});
+    int num_partitions);
 
 }  // namespace lambada::engine
 

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
-#include <functional>
 
 #include "common/binio.h"
-#include "exec/parallel_for.h"
 
 namespace lambada::format {
 
@@ -267,24 +265,16 @@ Result<Column> DecodeColumn(const uint8_t* data, size_t size, DataType type,
   return Status::IOError("unknown encoding");
 }
 
-EncodedColumn EncodeColumnAuto(const Column& column,
-                               const exec::ExecContext& ctx) {
-  // Encode the candidates (concurrently under a threaded context), then
-  // replay the sequential comparison order so the choice is identical.
-  std::vector<uint8_t> plain, delta, dict, rle;
+EncodedColumn EncodeColumnAuto(const Column& column) {
   const bool nonempty = column.size() > 0;
   const bool try_int = column.type() == DataType::kInt64 && nonempty;
-  std::vector<std::function<void()>> candidates;
-  candidates.push_back([&] { plain = EncodePlain(column); });
+  std::vector<uint8_t> plain = EncodePlain(column);
+  std::vector<uint8_t> delta, dict, rle;
   if (try_int) {
-    candidates.push_back([&] { delta = EncodeDelta(column); });
-    candidates.push_back([&] { dict = EncodeDict(column); });
+    delta = EncodeDelta(column);
+    dict = EncodeDict(column);
   }
-  if (nonempty) {
-    candidates.push_back([&] { rle = EncodeRle(column); });
-  }
-  exec::ParallelForEach(ctx, candidates.size(),
-                        [&](size_t i) { candidates[i](); });
+  if (nonempty) rle = EncodeRle(column);
   // Decide on sizes alone, moving no buffer until the winner is final.
   Encoding winner = Encoding::kPlain;
   size_t winner_size = plain.size();

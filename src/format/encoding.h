@@ -6,7 +6,6 @@
 
 #include "common/status.h"
 #include "engine/table.h"
-#include "exec/exec_context.h"
 
 namespace lambada::format {
 
@@ -63,16 +62,12 @@ engine::Column MaterializeDictView(const DictView& view);
 /// candidates and comparing sizes (cheap at our row-group sizes), with one
 /// strategic exception: dict wins whenever it is within 5% of the best,
 /// because only dict chunks support the reader's code-range predicate
-/// push-down. Returns the winning encoding and its bytes. A threaded
-/// ExecContext encodes the candidates concurrently; the comparison replays
-/// in a fixed order (plain, delta, dict, rle, dict-preference), so the
-/// winner — and its bytes — never depend on the thread count.
+/// push-down. Returns the winning encoding and its bytes.
 struct EncodedColumn {
   Encoding encoding = Encoding::kPlain;
   std::vector<uint8_t> bytes;
 };
-EncodedColumn EncodeColumnAuto(const engine::Column& column,
-                               const exec::ExecContext& ctx = {});
+EncodedColumn EncodeColumnAuto(const engine::Column& column);
 
 }  // namespace lambada::format
 

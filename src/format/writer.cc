@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/binio.h"
-#include "exec/parallel_for.h"
 
 namespace lambada::format {
 
@@ -42,56 +41,26 @@ Status FileWriter::FlushRowGroup(const TableChunk& group) {
   RowGroupMeta rg;
   rg.num_rows = group.num_rows();
   const auto& codec = compress::GetCodec(options_.codec);
-  // Encode + compress the column chunks in parallel (they are
-  // independent), then append them in column order: the file bytes are
-  // the same as the sequential writer's for every thread count. Only the
-  // compressed bytes survive the kernel (each encoded buffer is freed as
-  // soon as it is compressed, and each compressed buffer as soon as it is
-  // appended), so transient memory beyond file_ is one compressed row
-  // group plus up to num_threads in-flight encoded columns.
-  struct BuiltColumn {
-    Encoding encoding = Encoding::kPlain;
-    size_t uncompressed_size = 0;
-    std::vector<uint8_t> compressed;
-    ColumnStats stats;
-    Status status = Status::OK();
-  };
-  std::vector<BuiltColumn> built(group.num_columns());
-  exec::ParallelForEach(
-      options_.exec, group.num_columns(), [&](size_t c) {
-        const engine::Column& col = group.column(c);
-        EncodedColumn encoded;
-        if (options_.auto_encoding) {
-          // Forward the context: candidate encodings (plain/delta/dict)
-          // run concurrently too — nested ParallelFor is safe (the
-          // helping wait in RunMorsels) and the winner is thread-count
-          // independent.
-          encoded = EncodeColumnAuto(col, options_.exec);
-        } else {
-          auto bytes = EncodeColumn(col, Encoding::kPlain);
-          if (!bytes.ok()) {
-            built[c].status = bytes.status();
-            return;
-          }
-          encoded = EncodedColumn{Encoding::kPlain, *std::move(bytes)};
-        }
-        built[c].encoding = encoded.encoding;
-        built[c].uncompressed_size = encoded.bytes.size();
-        built[c].compressed = codec.Compress(encoded.bytes);
-        built[c].stats = ColumnStats::Compute(col);
-      });
+  // Column chunks encode, compress and append one at a time, so transient
+  // memory beyond file_ is one encoded and one compressed column chunk.
   for (size_t c = 0; c < group.num_columns(); ++c) {
-    RETURN_NOT_OK(built[c].status);
+    const engine::Column& col = group.column(c);
+    EncodedColumn encoded;
+    if (options_.auto_encoding) {
+      encoded = EncodeColumnAuto(col);
+    } else {
+      ASSIGN_OR_RETURN(auto bytes, EncodeColumn(col, Encoding::kPlain));
+      encoded = EncodedColumn{Encoding::kPlain, std::move(bytes)};
+    }
+    std::vector<uint8_t> compressed = codec.Compress(encoded.bytes);
     ColumnChunkMeta cc;
     cc.offset = file_.size();
-    cc.compressed_size = built[c].compressed.size();
-    cc.uncompressed_size = built[c].uncompressed_size;
-    cc.encoding = built[c].encoding;
+    cc.compressed_size = compressed.size();
+    cc.uncompressed_size = encoded.bytes.size();
+    cc.encoding = encoded.encoding;
     cc.codec = options_.codec;
-    cc.stats = built[c].stats;
-    file_.insert(file_.end(), built[c].compressed.begin(),
-                 built[c].compressed.end());
-    std::vector<uint8_t>().swap(built[c].compressed);
+    cc.stats = ColumnStats::Compute(col);
+    file_.insert(file_.end(), compressed.begin(), compressed.end());
     rg.columns.push_back(cc);
   }
   metadata_.num_rows += rg.num_rows;

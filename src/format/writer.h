@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "compress/codec.h"
 #include "engine/table.h"
-#include "exec/exec_context.h"
 #include "format/metadata.h"
 
 namespace lambada::format {
@@ -23,11 +22,6 @@ struct WriterOptions {
   compress::CodecId codec = compress::CodecId::kHeavy;
   /// Choose the smallest value encoding per column chunk; plain otherwise.
   bool auto_encoding = true;
-  /// Execution context for the encode+compress kernels: a row group's
-  /// column chunks are independent, so they encode and compress in
-  /// parallel and assemble in column order — file bytes are identical for
-  /// every thread count. Default is serial.
-  exec::ExecContext exec;
 };
 
 /// Serializes table chunks into an .lpq file held in memory. Files are

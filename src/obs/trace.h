@@ -13,10 +13,9 @@ namespace lambada::obs {
 /// Query-scoped span tracer stamped from the simulator's virtual clock.
 ///
 /// Spans form a tree rooted at the driver's "query" span. Every begin/end/
-/// annotate happens on the simulator thread (spans are never created inside
-/// ParallelFor kernels), and span ids are assigned in creation order, so for
-/// a fixed (workload, seed) the whole trace — ids, timestamps, args — is
-/// identical across runs and across worker thread counts. Tracing draws no
+/// annotate happens in simulator event order, and span ids are assigned in
+/// creation order, so for a fixed (workload, seed) the whole trace — ids,
+/// timestamps, args — is identical across runs. Tracing draws no
 /// randomness and sleeps for no virtual time: enabling it cannot perturb a
 /// simulation.
 ///

@@ -7,7 +7,6 @@
 #include "common/rng.h"
 #include "compress/codec.h"
 #include "engine/table.h"
-#include "exec/exec_context.h"
 #include "format/metadata.h"
 #include "format/writer.h"
 
@@ -347,10 +346,10 @@ TEST(LzIdentityTest, BackToBackCallsGrowingThenShrinking) {
   }
 }
 
-TEST(LzIdentityTest, FileWriterChunksMatchOracleAtEveryThreadCount) {
-  // The writer compresses column chunks on pool threads, each with its own
-  // match tables. Every stored chunk must be the oracle's compression of
-  // its encoded bytes, and the file must not depend on the thread count.
+TEST(LzIdentityTest, FileWriterChunksMatchOracle) {
+  // The writer compresses column chunk after column chunk through the
+  // reused match tables. Every stored chunk must be the oracle's
+  // compression of its encoded bytes.
   const size_t rows = 30000;
   Rng rng(11);
   std::vector<int64_t> small, keys;
@@ -368,35 +367,26 @@ TEST(LzIdentityTest, FileWriterChunksMatchOracleAtEveryThreadCount) {
                                     engine::Column::Int64(std::move(keys)),
                                     engine::Column::Float64(std::move(prices))});
   for (CodecId id : kLzCodecs) {
-    std::vector<uint8_t> serial;
-    for (int threads : {1, 2, 8}) {
-      format::WriterOptions opts;
-      opts.codec = id;
-      opts.row_group_rows = 7000;  // Four full groups and a 2000-row tail.
-      opts.exec = exec::ExecContext::Parallel(threads);
-      auto file = format::FileWriter::WriteTable(table, opts);
-      ASSERT_TRUE(file.ok()) << file.status().ToString();
-      uint32_t footer_len;
-      std::memcpy(&footer_len, file->data() + file->size() - 8, 4);
-      auto meta = format::FileMetadata::Parse(
-          file->data() + file->size() - 8 - footer_len, footer_len);
-      ASSERT_TRUE(meta.ok()) << meta.status().ToString();
-      ASSERT_EQ(meta->row_groups.size(), 5u);
-      for (const auto& rg : meta->row_groups) {
-        for (const auto& cc : rg.columns) {
-          const uint8_t* stored = file->data() + cc.offset;
-          auto raw = GetCodec(id).Decompress(stored, cc.compressed_size,
-                                             cc.uncompressed_size);
-          ASSERT_TRUE(raw.ok()) << raw.status().ToString();
-          EXPECT_EQ(std::vector<uint8_t>(stored, stored + cc.compressed_size),
-                    OracleCompress(id, *raw))
-              << CodecName(id) << " threads " << threads;
-        }
-      }
-      if (threads == 1) {
-        serial = *std::move(file);
-      } else {
-        EXPECT_EQ(*file, serial) << CodecName(id) << " threads " << threads;
+    format::WriterOptions opts;
+    opts.codec = id;
+    opts.row_group_rows = 7000;  // Four full groups and a 2000-row tail.
+    auto file = format::FileWriter::WriteTable(table, opts);
+    ASSERT_TRUE(file.ok()) << file.status().ToString();
+    uint32_t footer_len;
+    std::memcpy(&footer_len, file->data() + file->size() - 8, 4);
+    auto meta = format::FileMetadata::Parse(
+        file->data() + file->size() - 8 - footer_len, footer_len);
+    ASSERT_TRUE(meta.ok()) << meta.status().ToString();
+    ASSERT_EQ(meta->row_groups.size(), 5u);
+    for (const auto& rg : meta->row_groups) {
+      for (const auto& cc : rg.columns) {
+        const uint8_t* stored = file->data() + cc.offset;
+        auto raw = GetCodec(id).Decompress(stored, cc.compressed_size,
+                                           cc.uncompressed_size);
+        ASSERT_TRUE(raw.ok()) << raw.status().ToString();
+        EXPECT_EQ(std::vector<uint8_t>(stored, stored + cc.compressed_size),
+                  OracleCompress(id, *raw))
+            << CodecName(id);
       }
     }
   }

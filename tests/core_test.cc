@@ -16,7 +16,6 @@
 #include "core/worker.h"
 #include "engine/chunk_serde.h"
 #include "engine/partition.h"
-#include "exec/exec_context.h"
 #include "format/writer.h"
 
 namespace lambada::core {
@@ -643,8 +642,7 @@ struct ExchangeResult {
 /// p*rows_per_worker..(p+1)*rows_per_worker-1, then checks that every row
 /// arrived at exactly the worker its hash designates.
 ExchangeResult RunExchangeExperiment(int P, ExchangeSpec spec,
-                                     int rows_per_worker = 200,
-                                     exec::ExecContext exec_ctx = {}) {
+                                     int rows_per_worker = 200) {
   cloud::CloudConfig cfg;
   cfg.concurrency_limit = P + 10;
   cloud::Cloud cloud(cfg);
@@ -661,7 +659,6 @@ ExchangeResult RunExchangeExperiment(int P, ExchangeSpec spec,
   fn.memory_mib = 2048;
   fn.handler = [&, schema](cloud::WorkerEnv& env,
                            std::string payload) -> sim::Async<Status> {
-    env.exec = exec_ctx;
     int p = std::stoi(payload);
     std::vector<int64_t> keys;
     std::vector<double> vals;
@@ -745,31 +742,6 @@ TEST_P(ExchangeVariantTest, AllRowsReachTheirPartition) {
   spec.num_buckets = 4;
   auto result = RunExchangeExperiment(v.P, spec, 100);
   CheckExchangeCorrect(v.P, result, 100);
-}
-
-TEST(ExchangeTest, ParallelRuntimeProducesIdenticalOutput) {
-  // The morsel-parallel kernels must deliver the same rows in the same
-  // order as the serial runtime: the per-worker outputs are compared
-  // serialized, byte for byte.
-  for (int levels : {1, 2}) {
-    ExchangeSpec spec;
-    spec.keys = {"k"};
-    spec.levels = levels;
-    spec.num_buckets = 4;
-    auto sequential = RunExchangeExperiment(16, spec, 150);
-    ASSERT_TRUE(sequential.status.ok()) << sequential.status.ToString();
-
-    auto parallel = RunExchangeExperiment(16, spec, 150,
-                                          exec::ExecContext::Parallel(4, 64));
-    ASSERT_TRUE(parallel.status.ok()) << parallel.status.ToString();
-
-    for (int p = 0; p < 16; ++p) {
-      EXPECT_EQ(
-          engine::SerializeChunk(sequential.outputs[static_cast<size_t>(p)]),
-          engine::SerializeChunk(parallel.outputs[static_cast<size_t>(p)]))
-          << "worker " << p << " levels " << levels;
-    }
-  }
 }
 
 TEST(ExchangeTest, RequestCountsMatchModel) {
@@ -1062,6 +1034,38 @@ TEST_F(DriverFixture, FilesPerWorkerControlsWorkerCount) {
   EXPECT_EQ(report->result.column(0).i64()[0], 4000);
 }
 
+TEST_F(DriverFixture, BadFanOutSettingsAreInvalidBeforeAnyRequest) {
+  // files_per_worker divides the file count, so it must be positive, and
+  // an explicit worker count may not be negative. Both are rejected
+  // before the driver lists, uploads or invokes anything.
+  auto q = Query::FromParquet("s3://data/t/*.lpq").ReduceCount();
+  const cloud::CostSnapshot before = cloud_->ledger().Snapshot();
+  for (int fpw : {0, -1}) {
+    RunOptions opts;
+    opts.files_per_worker = fpw;
+    auto report = driver_->RunToCompletion(q, opts);
+    ASSERT_FALSE(report.ok()) << "files_per_worker " << fpw;
+    EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+        << report.status().ToString();
+    EXPECT_NE(report.status().message().find("files_per_worker"),
+              std::string::npos);
+  }
+  RunOptions negative;
+  negative.num_workers = -1;
+  auto report = driver_->RunToCompletion(q, negative);
+  ASSERT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kInvalidArgument)
+      << report.status().ToString();
+  EXPECT_NE(report.status().message().find("num_workers"), std::string::npos);
+  const cloud::CostSnapshot spent = cloud_->ledger().Snapshot() - before;
+  EXPECT_EQ(spent.s3_list_requests, 0);
+  EXPECT_EQ(spent.s3_get_requests, 0);
+  EXPECT_EQ(spent.s3_put_requests, 0);
+  EXPECT_EQ(spent.sqs_requests, 0);
+  EXPECT_EQ(spent.ddb_reads + spent.ddb_writes, 0);
+  EXPECT_EQ(spent.lambda_invocations, 0);
+}
+
 TEST_F(DriverFixture, NoMatchingFilesFails) {
   auto q = Query::FromParquet("s3://data/missing/*.lpq").ReduceCount();
   auto report = driver_->RunToCompletion(q, RunOptions{});
@@ -1264,18 +1268,14 @@ void UploadGroupedTable(cloud::Cloud* cloud, const std::string& prefix,
   }
 }
 
-TEST(FragmentExecutorTest, TwoRepartitionsMatchOneAtEveryThreadCount) {
+TEST(FragmentExecutorTest, TwoRepartitionsMatchOne) {
   // A single-table fragment with two exchanges runs on the one fragment
   // executor like a join fragment does; its per-group result equals the
-  // one-exchange query's at 1, 2 and 8 worker threads.
+  // one-exchange query's.
   using Groups = std::map<int64_t, std::pair<double, int64_t>>;
-  auto run = [](int exchanges, int threads) {
+  auto run = [](int exchanges) {
     cloud::Cloud cloud;
-    DriverOptions dopts;
-    if (threads > 1) {
-      dopts.worker_exec = exec::ExecContext::Parallel(threads, 64);
-    }
-    Driver driver(&cloud, dopts);
+    Driver driver(&cloud);
     LAMBADA_CHECK_OK(driver.Install());
     UploadGroupedTable(&cloud, "t/", 8);
     Query q = Query::FromParquet("s3://data/t/*.lpq");
@@ -1297,11 +1297,9 @@ TEST(FragmentExecutorTest, TwoRepartitionsMatchOneAtEveryThreadCount) {
     }
     return groups;
   };
-  const Groups ref = run(1, 1);
+  const Groups ref = run(1);
   ASSERT_EQ(ref.size(), 8u);
-  for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(run(2, threads), ref) << threads << " threads";
-  }
+  EXPECT_EQ(run(2), ref);
 }
 
 TEST(FragmentExecutorTest, ExchangeGridShrinkIsExplained) {

@@ -346,8 +346,8 @@ struct ChaosRun {
 /// Runs Q1/Q6/Q12/Q14/Q3 fleets under injected fault schedules. The
 /// mitigation stack (progress deadlines, speculative re-invocation,
 /// first-result-wins dedup, idempotent exchange recovery) must deliver a
-/// result byte-identical to the fault-free reference — at every worker
-/// thread count and under every crash/retry schedule.
+/// result byte-identical to the fault-free reference under every
+/// crash/retry schedule.
 class ChaosSweepTest : public ::testing::Test {
  protected:
   static constexpr int64_t kRows = 8000;
@@ -390,17 +390,13 @@ class ChaosSweepTest : public ::testing::Test {
         workload::MaxOrderKey(workload::GenerateLineitem(kRows, kSeed));
   }
 
-  ChaosRun RunFleet(int query, int threads, const cloud::FaultPlan& fault,
+  ChaosRun RunFleet(int query, const cloud::FaultPlan& fault,
                     JoinStrategyOverride strategy =
                         JoinStrategyOverride::kAuto) {
     cloud::CloudConfig cfg;
     cfg.fault = fault;
     cloud::Cloud cloud(cfg);
-    DriverOptions dopts;
-    if (threads > 1) {
-      dopts.worker_exec = exec::ExecContext::Parallel(threads, 4096);
-    }
-    Driver driver(&cloud, dopts);
+    Driver driver(&cloud);
     LAMBADA_CHECK_OK(driver.Install());
     workload::LoadOptions li;
     li.num_rows = kRows;
@@ -469,29 +465,25 @@ class ChaosSweepTest : public ::testing::Test {
   /// plus a heavy-crash point that guarantees recovery is exercised, a
   /// straggler-only schedule, and two all-at-once schedules whose seeds
   /// give two different retry orders.
-  void Sweep(int query, const std::vector<int>& thread_counts,
+  void Sweep(int query,
              JoinStrategyOverride strategy = JoinStrategyOverride::kAuto) {
     int64_t crashes_seen = 0;
     int64_t stragglers_seen = 0;
     int64_t reinvocations = 0;
-    for (int threads : thread_counts) {
-      ChaosRun ref = RunFleet(query, threads, cloud::FaultPlan{}, strategy);
-      ASSERT_FALSE(ref.bytes.empty());
-      EXPECT_EQ(ref.crashes_armed, 0);
-      const std::vector<cloud::FaultPlan> plans = {
-          Crashes(0.02, 11), Crashes(0.05, 12), Crashes(0.05, 13),
-          Crashes(0.35, 14), Stragglers(0.3),   Mixed(21),
-          Mixed(22),
-      };
-      for (size_t i = 0; i < plans.size(); ++i) {
-        ChaosRun run = RunFleet(query, threads, plans[i], strategy);
-        EXPECT_EQ(run.bytes, ref.bytes)
-            << "query " << query << ", " << threads << " threads, plan "
-            << i;
-        crashes_seen += run.crashes_armed;
-        stragglers_seen += run.stragglers_armed;
-        reinvocations += run.reinvoked_workers;
-      }
+    ChaosRun ref = RunFleet(query, cloud::FaultPlan{}, strategy);
+    ASSERT_FALSE(ref.bytes.empty());
+    EXPECT_EQ(ref.crashes_armed, 0);
+    const std::vector<cloud::FaultPlan> plans = {
+        Crashes(0.02, 11), Crashes(0.05, 12), Crashes(0.05, 13),
+        Crashes(0.35, 14), Stragglers(0.3),   Mixed(21),
+        Mixed(22),
+    };
+    for (size_t i = 0; i < plans.size(); ++i) {
+      ChaosRun run = RunFleet(query, plans[i], strategy);
+      EXPECT_EQ(run.bytes, ref.bytes) << "query " << query << ", plan " << i;
+      crashes_seen += run.crashes_armed;
+      stragglers_seen += run.stragglers_armed;
+      reinvocations += run.reinvoked_workers;
     }
     // The grid must actually have exercised the fault paths.
     EXPECT_GT(crashes_seen, 0);
@@ -503,23 +495,23 @@ class ChaosSweepTest : public ::testing::Test {
 };
 
 TEST_F(ChaosSweepTest, Q1SingleTableByteIdenticalUnderFaults) {
-  Sweep(1, {1, 2, 8});
+  Sweep(1);
 }
 
 TEST_F(ChaosSweepTest, Q6SingleTableByteIdenticalUnderFaults) {
-  Sweep(6, {1, 2, 8});
+  Sweep(6);
 }
 
 TEST_F(ChaosSweepTest, Q12PartitionedJoinByteIdenticalUnderFaults) {
-  Sweep(12, {1, 2, 8}, JoinStrategyOverride::kForcePartitioned);
+  Sweep(12, JoinStrategyOverride::kForcePartitioned);
 }
 
 TEST_F(ChaosSweepTest, Q14BroadcastJoinByteIdenticalUnderFaults) {
-  Sweep(14, {1, 8}, JoinStrategyOverride::kForceBroadcast);
+  Sweep(14, JoinStrategyOverride::kForceBroadcast);
 }
 
 TEST_F(ChaosSweepTest, Q3MultiJoinByteIdenticalUnderFaults) {
-  Sweep(3, {1, 2, 8});
+  Sweep(3);
 }
 
 // ---------------------------------------------------------------------------
@@ -732,18 +724,13 @@ TEST(FailureTest, LostGen1BranchRecoversViaSubtreeReinvocation) {
   // recovery the driver re-invokes only the dead branch through its
   // invoker — one Invoke call, branch-sized re-runs, never a fleet
   // restart — and the merged result stays byte-identical to the
-  // fault-free reference at every worker thread count.
-  auto run = [](int threads, const cloud::FaultPlan& fault,
-                int* subtree_reinvocations, int* reinvoked,
-                int64_t* invoker_crashes) {
+  // fault-free reference.
+  auto run = [](const cloud::FaultPlan& fault, int* subtree_reinvocations,
+                int* reinvoked, int64_t* invoker_crashes) {
     cloud::CloudConfig cfg;
     cfg.fault = fault;
     cloud::Cloud cloud(cfg);
-    DriverOptions dopts;
-    if (threads > 1) {
-      dopts.worker_exec = exec::ExecContext::Parallel(threads, 4096);
-    }
-    Driver driver(&cloud, dopts);
+    Driver driver(&cloud);
     LAMBADA_CHECK_OK(driver.Install());
     UploadTable(cloud, "branch/", 36, 400);
     auto q = Query::FromParquet("s3://data/branch/*.lpq");
@@ -765,18 +752,16 @@ TEST(FailureTest, LostGen1BranchRecoversViaSubtreeReinvocation) {
     return engine::SerializeChunk(report->result);
   };
   const cloud::FaultPlan dead_branch = InvokerCrashes(0.4, 1, 1.0, 0.0, 7);
-  for (int threads : {1, 2, 8}) {
-    auto ref = run(threads, cloud::FaultPlan{}, nullptr, nullptr, nullptr);
-    int branches = 0;
-    int reinvoked = 0;
-    int64_t crashes = 0;
-    auto got = run(threads, dead_branch, &branches, &reinvoked, &crashes);
-    EXPECT_EQ(got, ref) << threads << " threads";
-    EXPECT_GE(crashes, 1) << threads << " threads";
-    EXPECT_GE(branches, 1) << threads << " threads";
-    EXPECT_GE(reinvoked, 2) << threads << " threads";   // A branch...
-    EXPECT_LT(reinvoked, 36) << threads << " threads";  // ...not the fleet.
-  }
+  auto ref = run(cloud::FaultPlan{}, nullptr, nullptr, nullptr);
+  int branches = 0;
+  int reinvoked = 0;
+  int64_t crashes = 0;
+  auto got = run(dead_branch, &branches, &reinvoked, &crashes);
+  EXPECT_EQ(got, ref);
+  EXPECT_GE(crashes, 1);
+  EXPECT_GE(branches, 1);
+  EXPECT_GE(reinvoked, 2);   // A branch...
+  EXPECT_LT(reinvoked, 36);  // ...not the fleet.
 }
 
 TEST(FailureTest, DepthThreeReinvokedWorkerFetchesItsInputs) {

@@ -76,7 +76,7 @@ TEST(InvocationTreeTest, EveryIdExactlyOnceAcrossFleetsAndDepths) {
   // worker id exactly once — no overlaps, no holes — and every node
   // respects the plan's branching bounds. Pure arithmetic, so this also
   // certifies the partitioning is identical on the driver and worker
-  // sides regardless of thread count.
+  // sides.
   const std::vector<uint32_t> fleets = {1,    2,    7,     100,  4095,
                                         4096, 4097, 10000, 16384};
   for (uint32_t workers : fleets) {
@@ -450,18 +450,15 @@ TEST(InvocationTreeSerdeTest, WorkerInputTableRoundTrips) {
 // End to end: deep batched trees run real queries byte-identically
 // ---------------------------------------------------------------------------
 
-TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwoAtAllThreads) {
+TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwo) {
   // A real Q6 fleet forced through the depth-3 batched tree must produce
   // result bytes identical to the default two-level run (inline inputs)
-  // and to flat depth-1 invocation — at 1, 2, and 8 worker threads, and
-  // across repeated runs (the determinism contract).
-  auto run = [](int depth, int threads, std::shared_ptr<obs::Tracer>* trace) {
+  // and to flat depth-1 invocation, and across repeated runs (the
+  // determinism contract).
+  auto run = [](int depth, std::shared_ptr<obs::Tracer>* trace) {
     cloud::Cloud cloud;
     DriverOptions dopts;
     dopts.invocation_tree_depth = depth;
-    if (threads > 1) {
-      dopts.worker_exec = exec::ExecContext::Parallel(threads, 4096);
-    }
     Driver driver(&cloud, dopts);
     LAMBADA_CHECK_OK(driver.Install());
     workload::LoadOptions li;
@@ -479,22 +476,18 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwoAtAllThreads) {
     if (trace != nullptr) *trace = report->trace;
     return engine::SerializeChunk(report->result);
   };
-  const std::vector<uint8_t> ref = run(2, 1, nullptr);
+  const std::vector<uint8_t> ref = run(2, nullptr);
   ASSERT_FALSE(ref.empty());
-  EXPECT_EQ(run(2, 1, nullptr), ref);  // Repeated run, identical bytes.
-  for (int threads : {1, 2, 8}) {
-    EXPECT_EQ(run(3, threads, nullptr), ref)
-        << threads << " threads, depth 3";
-    EXPECT_EQ(run(1, threads, nullptr), ref)
-        << threads << " threads, depth 1";
-  }
+  EXPECT_EQ(run(2, nullptr), ref);  // Repeated run, identical bytes.
+  EXPECT_EQ(run(3, nullptr), ref) << "depth 3";
+  EXPECT_EQ(run(1, nullptr), ref) << "depth 1";
 
   // Traced, the depth-3 run shows the driver's phases as back-to-back
   // spans under the root, the batched tree's input-table upload included:
   // each starts where the previous one ended, and together they cover
   // the whole query.
   std::shared_ptr<obs::Tracer> trace;
-  EXPECT_EQ(run(3, 1, &trace), ref) << "traced, depth 3";
+  EXPECT_EQ(run(3, &trace), ref) << "traced, depth 3";
   ASSERT_NE(trace, nullptr);
   const obs::Tracer::Span& root = trace->span(trace->root());
   std::vector<const obs::Tracer::Span*> phases;

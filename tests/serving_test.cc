@@ -233,15 +233,11 @@ TEST(ServingAdmissionTest, QueueDeadlineExpiresWithTenantName) {
 
 /// Runs `n` queries (cycling Q1/Q6/Q12) through a fresh deployment and
 /// returns the serialized result bytes per submission.
-std::vector<std::vector<uint8_t>> ServeBytes(int n, bool concurrent,
-                                             int worker_threads) {
+std::vector<std::vector<uint8_t>> ServeBytes(int n, bool concurrent) {
   cloud::Cloud cloud;
   LoadData(&cloud);
   ServingOptions sopts;
   sopts.max_concurrent = 64;
-  sopts.worker_exec = worker_threads > 1
-                          ? exec::ExecContext::Parallel(worker_threads)
-                          : exec::ExecContext::Serial();
   QueryService svc(&cloud, sopts);
   TenantOptions t;
   t.id = "fleet";
@@ -261,21 +257,15 @@ std::vector<std::vector<uint8_t>> ServeBytes(int n, bool concurrent,
 
 TEST(ServingConcurrencyTest, ConcurrentResultsByteIdenticalToSolo) {
   // 64 concurrent submissions against one deployment must produce, per
-  // query, exactly the bytes a solo (sequential) deployment produces —
-  // at every worker thread count. Thread counts must also agree with
-  // each other (the morsel runtime's determinism contract).
+  // query, exactly the bytes a solo (sequential) deployment produces.
   const int kQueries = 64;
-  const std::vector<std::vector<uint8_t>> solo = ServeBytes(
-      kQueries, /*concurrent=*/false, /*worker_threads=*/1);
+  const std::vector<std::vector<uint8_t>> solo =
+      ServeBytes(kQueries, /*concurrent=*/false);
   ASSERT_EQ(solo.size(), static_cast<size_t>(kQueries));
-  for (int threads : {1, 2, 8}) {
-    const auto concurrent =
-        ServeBytes(kQueries, /*concurrent=*/true, threads);
-    ASSERT_EQ(concurrent.size(), solo.size());
-    for (size_t i = 0; i < solo.size(); ++i) {
-      EXPECT_EQ(concurrent[i], solo[i])
-          << "query " << i << " diverged at " << threads << " threads";
-    }
+  const auto concurrent = ServeBytes(kQueries, /*concurrent=*/true);
+  ASSERT_EQ(concurrent.size(), solo.size());
+  for (size_t i = 0; i < solo.size(); ++i) {
+    EXPECT_EQ(concurrent[i], solo[i]) << "query " << i << " diverged";
   }
 }
 

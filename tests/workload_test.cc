@@ -314,10 +314,7 @@ TEST(TpchGenJoinTest, CustomerCoversTheOrderCustkeys) {
   EXPECT_LT(frac, 0.23);
 }
 
-/// Runs a join query through the simulated fleet with the given
-/// worker-local kernel thread count. A fresh cloud per run keeps the
-/// virtual-time schedule identical across thread counts — the runtime
-/// must not leak into results, so the reports must be byte-identical.
+/// Runs a join query through the simulated fleet on a fresh cloud.
 class TpchJoinFixture : public ::testing::Test {
  protected:
   static constexpr int64_t kRows = 24000;
@@ -332,15 +329,10 @@ class TpchJoinFixture : public ::testing::Test {
   }
 
   core::QueryReport RunFleetReport(
-      int query, int threads,
-      core::JoinStrategyOverride strategy =
-          core::JoinStrategyOverride::kAuto) {
+      int query, core::JoinStrategyOverride strategy =
+                     core::JoinStrategyOverride::kAuto) {
     cloud::Cloud cloud;
-    core::DriverOptions dopts;
-    if (threads > 1) {
-      dopts.worker_exec = exec::ExecContext::Parallel(threads, 4096);
-    }
-    core::Driver driver(&cloud, dopts);
+    core::Driver driver(&cloud);
     LAMBADA_CHECK_OK(driver.Install());
     LoadOptions li;
     li.num_rows = kRows;
@@ -404,9 +396,7 @@ class TpchJoinFixture : public ::testing::Test {
     return std::move(*report);
   }
 
-  TableChunk RunFleet(int query, int threads) {
-    return RunFleetReport(query, threads).result;
-  }
+  TableChunk RunFleet(int query) { return RunFleetReport(query).result; }
 
   /// TPC-H says 300, but the generator's 1..7 lines of 1..50 units make
   /// that nearly empty at 24k rows; 250 keeps a few dozen groups.
@@ -419,11 +409,11 @@ class TpchJoinFixture : public ::testing::Test {
   int64_t orders_rows_ = 0;
 };
 
-TEST_F(TpchJoinFixture, Q12MatchesReferenceAtEveryThreadCount) {
+TEST_F(TpchJoinFixture, Q12MatchesReference) {
   TableChunk expected =
       ReferenceQ12(reference_lineitem_, reference_orders_);
   ASSERT_EQ(expected.num_rows(), 2u);  // MAIL and SHIP.
-  TableChunk base = RunFleet(12, 1);
+  TableChunk base = RunFleet(12);
   ASSERT_EQ(base.num_rows(), expected.num_rows());
   ASSERT_EQ(base.num_columns(), 3u);
   // High/low line counts are integral sums of 0/1 — exact in float64, so
@@ -441,19 +431,12 @@ TEST_F(TpchJoinFixture, Q12MatchesReferenceAtEveryThreadCount) {
     }
     EXPECT_TRUE(found) << "mode " << mode << " missing";
   }
-  // The morsel runtime must not leak into results: byte-identical at
-  // every worker thread count.
-  auto base_bytes = engine::SerializeChunk(base);
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(engine::SerializeChunk(RunFleet(12, threads)), base_bytes)
-        << threads << " threads";
-  }
 }
 
-TEST_F(TpchJoinFixture, Q14MatchesReferenceAtEveryThreadCount) {
+TEST_F(TpchJoinFixture, Q14MatchesReference) {
   Q14Result expected = ReferenceQ14(reference_lineitem_, reference_part_);
   ASSERT_GT(expected.total_revenue, 0);
-  TableChunk base = RunFleet(14, 1);
+  TableChunk base = RunFleet(14);
   ASSERT_EQ(base.num_rows(), 1u);
   ASSERT_EQ(base.num_columns(), 2u);
   double promo = base.column(0).f64()[0];
@@ -466,11 +449,6 @@ TEST_F(TpchJoinFixture, Q14MatchesReferenceAtEveryThreadCount) {
   double pct = 100.0 * promo / total;
   EXPECT_GT(pct, 8.0);
   EXPECT_LT(pct, 25.0);
-  auto base_bytes = engine::SerializeChunk(base);
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(engine::SerializeChunk(RunFleet(14, threads)), base_bytes)
-        << threads << " threads";
-  }
 }
 
 // ---------------------------------------------------------------------------
@@ -507,11 +485,11 @@ void ExpectMatchesByKey(const TableChunk& got, const TableChunk& expected,
   }
 }
 
-TEST_F(TpchJoinFixture, Q3MatchesReferenceAtEveryThreadCount) {
+TEST_F(TpchJoinFixture, Q3MatchesReference) {
   TableChunk expected = ReferenceQ3(reference_lineitem_, reference_orders_,
                                     reference_customer_);
   ASSERT_GT(expected.num_rows(), 100u);
-  auto base = RunFleetReport(3, 1);
+  auto base = RunFleetReport(3);
   ASSERT_EQ(base.result.num_columns(), 4u);
   // Both joins went through the optimizer and carry a costed decision.
   ASSERT_EQ(base.join_choices.size(), 2u);
@@ -520,18 +498,13 @@ TEST_F(TpchJoinFixture, Q3MatchesReferenceAtEveryThreadCount) {
   }
   EXPECT_FALSE(base.explain_text.empty());
   ExpectMatchesByKey(base.result, expected, 0);
-  auto base_bytes = engine::SerializeChunk(base.result);
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(engine::SerializeChunk(RunFleet(3, threads)), base_bytes)
-        << threads << " threads";
-  }
 }
 
 TEST_F(TpchJoinFixture, Q3BothStrategiesMatchTheReference) {
   TableChunk expected = ReferenceQ3(reference_lineitem_, reference_orders_,
                                     reference_customer_);
-  auto part = RunFleetReport(3, 1, core::JoinStrategyOverride::kForcePartitioned);
-  auto bcast = RunFleetReport(3, 1, core::JoinStrategyOverride::kForceBroadcast);
+  auto part = RunFleetReport(3, core::JoinStrategyOverride::kForcePartitioned);
+  auto bcast = RunFleetReport(3, core::JoinStrategyOverride::kForceBroadcast);
   // Partitioned runs two-sided exchanges; broadcast runs none.
   auto rounds = [](const core::QueryReport& r) {
     return r.fleet_metrics.counter(obs::Metric::kExchangeRounds);
@@ -545,36 +518,26 @@ TEST_F(TpchJoinFixture, Q3BothStrategiesMatchTheReference) {
   ExpectMatchesByKey(bcast.result, expected, 0);
 }
 
-TEST_F(TpchJoinFixture, Q18MatchesReferenceAtEveryThreadCount) {
+TEST_F(TpchJoinFixture, Q18MatchesReference) {
   TableChunk expected =
       ReferenceQ18(reference_lineitem_, reference_orders_,
                    reference_customer_, kQ18MinQuantity);
   // The HAVING threshold keeps a small, non-empty set of big orders.
   ASSERT_GT(expected.num_rows(), 0u);
   ASSERT_LT(expected.num_rows(), 500u);
-  auto base = RunFleetReport(18, 1);
+  auto base = RunFleetReport(18);
   ASSERT_EQ(base.result.num_columns(), 5u);
   ExpectMatchesByKey(base.result, expected, 1);  // Key col: l_orderkey.
-  auto base_bytes = engine::SerializeChunk(base.result);
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(engine::SerializeChunk(RunFleet(18, threads)), base_bytes)
-        << threads << " threads";
-  }
 }
 
-TEST_F(TpchJoinFixture, Q19MatchesReferenceAtEveryThreadCount) {
+TEST_F(TpchJoinFixture, Q19MatchesReference) {
   double expected = ReferenceQ19(reference_lineitem_, reference_part_);
   ASSERT_GT(expected, 0.0);
-  auto base = RunFleetReport(19, 1);
+  auto base = RunFleetReport(19);
   ASSERT_EQ(base.result.num_rows(), 1u);
   ASSERT_EQ(base.result.num_columns(), 1u);
   EXPECT_NEAR(base.result.column(0).f64()[0], expected,
               std::abs(expected) * 1e-9 + 1e-9);
-  auto base_bytes = engine::SerializeChunk(base.result);
-  for (int threads : {2, 8}) {
-    EXPECT_EQ(engine::SerializeChunk(RunFleet(19, threads)), base_bytes)
-        << threads << " threads";
-  }
 }
 
 }  // namespace
