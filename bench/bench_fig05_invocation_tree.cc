@@ -3,10 +3,9 @@
 // function. The historical experiment ran exactly 4096 workers through a
 // hardcoded 64x64 two-level tree; this sweep drives every configuration
 // through the shared invocation-tree planner (core/invocation_tree.h) —
-// depth 2 with the descendants' inputs inline in each payload versus
-// depth 3 with batched payloads (range plus input-table pointer) — at
-// fleet sizes up to 16384, and reports the measured all-running time next
-// to the cost model's prediction plus the modeled invocation bill.
+// depth 2 versus depth 3, each payload carrying its descendants' inputs —
+// at fleet sizes up to 16384, and reports the measured all-running time
+// next to the cost model's prediction plus the modeled invocation bill.
 
 #include <algorithm>
 #include <memory>
@@ -60,10 +59,8 @@ struct SweepResult {
 };
 
 /// Starts a `workers`-strong fleet through a forced depth-`depth` tree in
-/// a fresh deployment and measures the invocation timeline. Depth 2
-/// carries the descendants' inputs inline; depth 3 batches (the workers
-/// here need no inputs, so the table is never fetched), mirroring the
-/// driver's rule.
+/// a fresh deployment and measures the invocation timeline. Every payload
+/// carries its descendants' (empty) inputs, as the driver's do.
 SweepResult RunSweep(uint32_t workers, int depth) {
   cloud::CloudConfig cfg;
   cfg.concurrency_limit = 24000;
@@ -89,9 +86,7 @@ SweepResult RunSweep(uint32_t workers, int depth) {
     if (payload->self.worker_id < started_count.size()) {
       ++started_count[payload->self.worker_id];
     }
-    auto invoked = co_await core::InvokeTreeChildren(env, *payload);
-    if (!invoked.ok()) co_return invoked.status();
-    co_return Status::OK();
+    co_return co_await core::InvokeTreeChildren(env, *payload);
   };
   LAMBADA_CHECK_OK(cloud.faas().CreateFunction(fn));
 
@@ -110,14 +105,10 @@ SweepResult RunSweep(uint32_t workers, int depth) {
       p.tree.subtree_end = root.end;
       p.tree.generation = root.generation;
       p.tree.fanout = plan->fanout;
-      if (plan->depth() >= 3) {
-        p.tree.inputs_key = "plans/fig5.inputs";
-      } else {
-        for (uint32_t id = root.begin + 1; id < root.end; ++id) {
-          core::WorkerInput child;
-          child.worker_id = id;
-          p.tree.descendants.push_back(child);
-        }
+      for (uint32_t id = root.begin + 1; id < root.end; ++id) {
+        core::WorkerInput child;
+        child.worker_id = id;
+        p.tree.descendants.push_back(child);
       }
       calls.push_back(
           [](cloud::Cloud* cl, std::shared_ptr<sim::Semaphore> gt,
@@ -172,17 +163,17 @@ int main() {
   }
 
   std::printf("\n");
-  Table t({"workers", "depth", "payload", "driver done [s]",
-           "all running [s]", "modeled [s]", "cost [USD]"},
+  Table t({"workers", "depth", "driver done [s]", "all running [s]",
+           "modeled [s]", "cost [USD]"},
           16, "measured tree sweep");
   const std::vector<uint32_t> fleets = {4096, 10000, 16384};
   bool all_exact = true;
   for (uint32_t w : fleets) {
     for (int depth = 2; depth <= 3; ++depth) {
       SweepResult r = RunSweep(w, depth);
-      t.Row({FmtInt(w), FmtInt(depth), depth >= 3 ? "range" : "explicit",
-             Fmt("%.2f", r.driver_done), Fmt("%.2f", r.all_running),
-             Fmt("%.2f", r.modeled_s), Fmt("%.4f", r.cost_usd)});
+      t.Row({FmtInt(w), FmtInt(depth), Fmt("%.2f", r.driver_done),
+             Fmt("%.2f", r.all_running), Fmt("%.2f", r.modeled_s),
+             Fmt("%.4f", r.cost_usd)});
       if (!r.ids_exact) {
         all_exact = false;
         Notef("ERROR: %u-worker depth-%d run started %zu workers", w, depth,

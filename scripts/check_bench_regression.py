@@ -61,6 +61,13 @@ def rows_by_key(table):
     return out
 
 
+def project(table, headers):
+    """The table restricted to the columns named by `headers`, in order."""
+    cols = [table["headers"].index(h) for h in headers]
+    return {"headers": headers,
+            "rows": [[row[c] for c in cols] for row in table.get("rows", [])]}
+
+
 def iter_tables(doc):
     for ei, exp in enumerate(doc.get("experiments", [])):
         for i, table in enumerate(exp.get("tables", [])):
@@ -80,10 +87,15 @@ def compare_lambada(name, baseline, current, threshold, report):
             report.note(f"{name}: new table '{label}' (no baseline)")
             continue
         headers = table.get("headers", [])
-        if headers != base.get("headers", []):
+        base_headers = base.get("headers", [])
+        if headers != base_headers:
+            # Diff the columns both versions share, matched by header, so
+            # dropping or adding a column cannot hide a change in another;
+            # rows then key on the shared non-numeric cells.
+            headers = [h for h in headers if h in base_headers]
             report.note(f"{name}: headers changed in '{label}' "
-                        "(skipping row diff)")
-            continue
+                        f"(diffing the {len(headers)} shared columns)")
+            table, base = project(table, headers), project(base, headers)
         base_rows = rows_by_key(base)
         cur_rows = rows_by_key(table)
         for key in base_rows:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <map>
 #include <memory>
 #include <set>
@@ -90,6 +91,7 @@ struct QueryRun {
   std::string query_id;
   std::string function;
   std::string result_queue;
+  std::string plan_key;  ///< Where the fragment lives in the system bucket.
   obs::Tracer* tr = nullptr;
   cloud::NetContext dnet;
   cloud::S3Client* client = nullptr;
@@ -98,13 +100,11 @@ struct QueryRun {
   PhysicalQuery physical;
   std::vector<engine::FileRef> files;
   std::map<std::string, PatternListing> build_listings;  // By pattern.
+  /// Every worker's leaf payload, the template BranchPayload builds every
+  /// payload the driver sends from.
+  std::vector<InvocationPayload> payloads;
   TreeOptions topt;
   TreePlan tree;
-  /// Worker-input table key of a batched (depth >= 3) tree; empty inline.
-  std::string inputs_key;
-  // ---- Upload: every worker's leaf payload, the template BranchPayload
-  // builds every payload the driver sends from.
-  std::vector<InvocationPayload> payloads;
   // ---- Invoke and collect.
   double t_invoked = 0;
   uint64_t collect_span = 0;
@@ -116,30 +116,38 @@ struct QueryRun {
 };
 
 /// The payload that starts `node`'s whole subtree under `attempt`: the
-/// leaf payload of its own worker widened to the node's range, with the
-/// descendants' inputs inline — or, behind a worker-input table, with
-/// none of the inputs: every member of the subtree, the node included,
-/// fetches its own from that table. Every payload the driver sends comes
-/// from here: a generation-1 root at attempt 0, or a re-invoked node (a
-/// single worker is the size-1 node {w, w+1, generation 1}).
+/// leaf payload of its own worker widened to the node's range in the
+/// tree, with the descendants' inputs inline. Every payload the driver
+/// sends comes from here: a generation-1 root at attempt 0, or a
+/// re-invoked node (a single worker is the size-1 node
+/// {w, w+1, generation 1}).
 std::string BranchPayload(const QueryRun& q, const TreeNode& node,
                           uint32_t attempt) {
   InvocationPayload p = q.payloads[node.begin];
   p.self.attempt = attempt;
   p.tree.subtree_end = node.end;
   p.tree.generation = node.generation;
-  p.tree.inputs_key = q.inputs_key;
-  if (q.inputs_key.empty()) {
-    for (uint32_t id = node.begin + 1; id < node.end; ++id) {
-      p.tree.descendants.push_back(q.payloads[id].self);
-    }
-  } else {
-    WorkerInput bare;
-    bare.worker_id = node.begin;
-    bare.attempt = attempt;
-    p.self = std::move(bare);
+  p.tree.fanout = q.tree.fanout;
+  for (uint32_t id = node.begin + 1; id < node.end; ++id) {
+    p.tree.descendants.push_back(q.payloads[id].self);
   }
   return p.Serialize();
+}
+
+/// The most workers one payload may carry under the Invoke limit of
+/// `limit` bytes. A payload of n workers is at most n leaf payloads long
+/// once each leaf is widened by the deepest tree shape: a descendant adds
+/// only its WorkerInput, which is shorter than its leaf payload by more
+/// than the few bytes the descendant count grows by.
+uint32_t MaxSubtree(const std::vector<InvocationPayload>& leaves,
+                    size_t limit) {
+  size_t leaf = 1;
+  for (const InvocationPayload& p : leaves) {
+    leaf = std::max(leaf, p.Serialize().size() +
+                              sizeof(uint32_t) * kMaxTreeDepth);
+  }
+  return static_cast<uint32_t>(std::min<size_t>(
+      limit / leaf, std::numeric_limits<uint32_t>::max()));
 }
 
 /// One Invoke from the driver machine (its WAN profile and RNG) under the
@@ -177,7 +185,8 @@ sim::Async<void> Reinvoke(QueryRun* q, const TreeNode& node, int attempt) {
 /// Phase 1, span `plan`: lists every relation's glob, assembles the
 /// optimizer's catalog, optimizes, prunes files through the stats index,
 /// settles the worker count and the exchanges, resolves the scan request
-/// size, and plans the invocation tree.
+/// size, builds every worker's leaf payload, and plans the invocation
+/// tree around them.
 sim::Async<Status> PlanPhase(QueryRun* q) {
   const RunOptions& options = *q->options;
   const Query& query = *q->query;
@@ -372,62 +381,19 @@ sim::Async<Status> PlanPhase(QueryRun* q) {
       AdaptiveChunkBytes(scan_bytes / std::max(1, workers),
                          format::S3Source::Options().connections);
 
-  // ---- Plan the invocation tree (Section 4.2, generalized). ----
-  TreeOptions& topt = q->topt;
-  topt.depth = q->dopts->invocation_tree_depth;
-  const cloud::RegionProfile& region = q->cloud->region();
-  topt.cost.driver_invoke_latency_s = region.remote_invoke_latency_s;
-  topt.cost.driver_rate_per_s = region.remote_client_rate_per_s;
-  topt.cost.driver_threads = kInvokeThreads;
-  topt.cost.worker_invoke_latency_s = region.intra_invoke_latency_s;
-  topt.cost.worker_start_s = q->cloud->faas().config().cold_start_median_s +
-                             q->cloud->faas().config().cold_init_cpu_s;
-  q->tree = PlanInvocationTree(static_cast<uint32_t>(workers), topt);
-  // Trees deeper than two levels batch their payloads: an inline payload
-  // would carry every grandchild's inputs through the tree.
-  if (q->tree.depth() >= 3) q->inputs_key = "plans/" + q->query_id + ".inputs";
-
-  q->report.workers = workers;
-  q->report.files = static_cast<int>(files.size());
-  q->report.tree_depth = q->tree.depth();
-  if (q->tr != nullptr) {
-    q->tr->AddArg(plan_span, "query_id", q->query_id);
-    q->tr->AddArg(plan_span, "workers", static_cast<int64_t>(workers));
-    q->tr->AddArg(plan_span, "files", static_cast<int64_t>(files.size()));
-    q->tr->EndSpan(plan_span);
-  }
-  co_return Status::OK();
-}
-
-/// Phase 2, spans `upload-plan` and, for a batched tree, `upload-inputs`:
-/// puts the fragment in S3 once (payloads carry the pointer), builds
-/// every worker's leaf payload, and puts their inputs in the worker-input
-/// table.
-sim::Async<Status> UploadPhase(QueryRun* q) {
-  const RunOptions& options = *q->options;
-  const uint64_t upload_span = obs::Begin(q->tr, 0, "driver", "upload-plan");
-  const std::string plan_key = "plans/" + q->query_id;
-  CO_RETURN_NOT_OK(co_await q->client->Put(
-      q->dopts->system_bucket, plan_key,
-      Buffer::FromVector(q->physical.fragment.Serialize())));
-  obs::End(q->tr, upload_span);
-
   // ---- Per-worker leaf payloads (contiguous file ranges). ----
-  const int workers = q->report.workers;
-  const std::vector<engine::FileRef>& files = q->files;
   q->payloads.reserve(static_cast<size_t>(workers));
   for (int w = 0; w < workers; ++w) {
     InvocationPayload p;
     p.query_id = q->query_id;
     p.total_workers = static_cast<uint32_t>(workers);
     p.plan_bucket = q->dopts->system_bucket;
-    p.plan_key = plan_key;
+    p.plan_key = q->plan_key;
     p.result_queue = q->result_queue;
     p.data_scale = options.data_scale;
     p.hedge_gets = options.hedge_gets;
     p.self.worker_id = static_cast<uint32_t>(w);
     p.tree.subtree_end = static_cast<uint32_t>(w) + 1;
-    p.tree.fanout = q->tree.fanout;
     size_t begin = files.size() * static_cast<size_t>(w) /
                    static_cast<size_t>(workers);
     size_t end = files.size() * (static_cast<size_t>(w) + 1) /
@@ -458,21 +424,42 @@ sim::Async<Status> UploadPhase(QueryRun* q) {
     q->payloads.push_back(std::move(p));
   }
 
-  // ---- Batched invocation: one table object holds every worker's
-  // inputs; payloads then carry only their subtree ID range, so payload
-  // bytes (and the bytes any one worker fetches) stay O(1) in the fleet
-  // size.
-  if (!q->inputs_key.empty()) {
-    std::vector<WorkerInput> inputs;
-    inputs.reserve(q->payloads.size());
-    for (const auto& p : q->payloads) inputs.push_back(p.self);
-    const uint64_t inputs_span =
-        obs::Begin(q->tr, 0, "driver", "upload-inputs");
-    CO_RETURN_NOT_OK(co_await q->client->Put(
-        q->dopts->system_bucket, q->inputs_key,
-        Buffer::FromVector(EncodeWorkerInputTable(inputs))));
-    obs::End(q->tr, inputs_span);
+  // ---- Plan the invocation tree (Section 4.2, generalized). Every
+  // payload carries its whole subtree's inputs, so the subtrees narrow to
+  // what fits the Invoke limit.
+  TreeOptions& topt = q->topt;
+  topt.depth = q->dopts->invocation_tree_depth;
+  topt.max_subtree =
+      MaxSubtree(q->payloads, q->cloud->faas().config().max_payload_bytes);
+  const cloud::RegionProfile& region = q->cloud->region();
+  topt.cost.driver_invoke_latency_s = region.remote_invoke_latency_s;
+  topt.cost.driver_rate_per_s = region.remote_client_rate_per_s;
+  topt.cost.driver_threads = kInvokeThreads;
+  topt.cost.worker_invoke_latency_s = region.intra_invoke_latency_s;
+  topt.cost.worker_start_s = q->cloud->faas().config().cold_start_median_s +
+                             q->cloud->faas().config().cold_init_cpu_s;
+  q->tree = PlanInvocationTree(static_cast<uint32_t>(workers), topt);
+
+  q->report.workers = workers;
+  q->report.files = static_cast<int>(files.size());
+  q->report.tree_depth = q->tree.depth();
+  if (q->tr != nullptr) {
+    q->tr->AddArg(plan_span, "query_id", q->query_id);
+    q->tr->AddArg(plan_span, "workers", static_cast<int64_t>(workers));
+    q->tr->AddArg(plan_span, "files", static_cast<int64_t>(files.size()));
+    q->tr->EndSpan(plan_span);
   }
+  co_return Status::OK();
+}
+
+/// Phase 2, span `upload-plan`: puts the fragment in S3 once (payloads
+/// carry the pointer).
+sim::Async<Status> UploadPhase(QueryRun* q) {
+  const uint64_t upload_span = obs::Begin(q->tr, 0, "driver", "upload-plan");
+  CO_RETURN_NOT_OK(co_await q->client->Put(
+      q->dopts->system_bucket, q->plan_key,
+      Buffer::FromVector(q->physical.fragment.Serialize())));
+  obs::End(q->tr, upload_span);
   co_return Status::OK();
 }
 
@@ -827,6 +814,7 @@ sim::Async<Result<QueryReport>> Driver::Run(const Query& query,
   if (options_.serving_mode) {
     CO_RETURN_NOT_OK(cloud_->sqs().CreateQueue(q.result_queue));
   }
+  q.plan_key = "plans/" + q.query_id;
 
   // ---- Tracing (docs/OBSERVABILITY.md). The tracer installs on the
   // deployment BEFORE the driver's S3 client is created, so every

@@ -34,9 +34,9 @@ struct DriverOptions {
   /// invoker profile (core/invocation_tree.h) — fleets of <= 4 workers
   /// stay driver-direct and two-level plans reproduce the historical sqrt
   /// grouping byte-for-byte; 1..3 force a depth, 1 being flat driver-only
-  /// invocation. Trees of depth >= 3 batch their payloads: each carries
-  /// its subtree ID range plus a pointer to the per-worker input table in
-  /// S3 instead of its descendants' inputs.
+  /// invocation. At every depth a payload carries its descendants'
+  /// inputs, and the tree narrows (a shallower depth included) until its
+  /// payloads fit the Invoke limit.
   int invocation_tree_depth = 0;
   double query_timeout_s = 3600.0;
   /// Default exchange buckets created at install.
@@ -155,8 +155,7 @@ struct QueryReport {
   /// Branch re-invocations issued by subtree recovery; each restarted one
   /// silent gen-1/gen-2 subtree through its invoker.
   int subtree_reinvocations = 0;
-  /// Invocation-tree depth this query ran with (1 = driver-direct;
-  /// payloads were batched at depth >= 3).
+  /// Invocation-tree depth this query ran with (1 = driver-direct).
   int tree_depth = 1;
   int64_t duplicate_results = 0;
   int64_t worker_s3_retries = 0;
@@ -199,11 +198,11 @@ class Driver {
   /// Compiles and executes `query`; resolves when the final result is
   /// merged on the driver. A query runs in five phases, each under its
   /// own driver span (docs/OBSERVABILITY.md): plan (list, optimize,
-  /// prune, size the fleet and its invocation tree), upload (the plan
-  /// fragment, and the worker-input table of a batched tree), invoke
-  /// (the generation-1 roots), collect (the results, re-invoking
-  /// stragglers, retried failures and silent branches under mitigation)
-  /// and merge (driver-scope aggregation and HAVING).
+  /// prune, size the fleet, build its payloads and plan its invocation
+  /// tree), upload (the plan fragment), invoke (the generation-1 roots),
+  /// collect (the results, re-invoking stragglers, retried failures and
+  /// silent branches under mitigation) and merge (driver-scope
+  /// aggregation and HAVING).
   sim::Async<Result<QueryReport>> Run(const Query& query,
                                       const RunOptions& options);
 

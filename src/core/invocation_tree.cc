@@ -10,49 +10,40 @@ namespace lambada::core {
 
 namespace {
 
-/// Deepest tree the planner builds.
-constexpr int kMaxTreeDepth = 3;
 /// Fleets this small are invoked directly by the driver — a tree would
 /// only add a container-start hop (matches the historical driver rule).
 constexpr uint32_t kDirectInvokeMax = 4;
 
-/// Capacity of one generation-1 subtree when every inner level branches
-/// `f` in a depth-`depth` tree (saturating).
-uint64_t Cap1ForFanout(uint32_t f, int depth) {
-  uint64_t cap = 1;
-  for (int g = depth - 1; g >= 1; --g) {
-    cap = 1 + static_cast<uint64_t>(f) * cap;
-    if (cap > std::numeric_limits<uint32_t>::max()) {
-      return std::numeric_limits<uint32_t>::max();
-    }
-  }
-  return cap;
-}
-
-/// The fanout vector of one depth-`depth` plan for `workers` ids.
-std::vector<uint32_t> FanoutForDepth(uint32_t workers, int depth) {
+/// The fanout vector of one depth-`depth` plan for `workers` ids whose
+/// generation-1 subtrees hold at most `max_subtree` >= `depth` ids.
+std::vector<uint32_t> FanoutForDepth(uint32_t workers, int depth,
+                                     uint32_t max_subtree) {
   if (depth <= 1) return {workers};
   if (depth == 2) {
     // The historical two-level grouping, byte-for-byte: group =
-    // ceil(sqrt(P)) ids per generation-1 root, root included.
-    const uint32_t group = static_cast<uint32_t>(
-        std::ceil(std::sqrt(static_cast<double>(workers))));
+    // ceil(sqrt(P)) ids per generation-1 root, root included — or
+    // max_subtree ids if fewer.
+    const uint32_t group = std::min(
+        max_subtree, static_cast<uint32_t>(
+                         std::ceil(std::sqrt(static_cast<double>(workers)))));
     const uint32_t roots = (workers + group - 1) / group;
     return {roots, group - 1};
   }
   // Deeper trees: the smallest uniform inner fanout f whose f roots cover
-  // the fleet, ~P^(1/depth) — every level shares the serial invoke work.
-  uint32_t f = 1;
-  while (static_cast<uint64_t>(f) * Cap1ForFanout(f, depth) <
-         static_cast<uint64_t>(workers)) {
-    ++f;
+  // the fleet, ~P^(1/depth) — every level shares the serial invoke work —
+  // or, if its subtrees are too wide, the widest that fits.
+  TreePlan plan;
+  uint32_t f = 0;
+  do {
+    plan.fanout.assign(static_cast<size_t>(depth), ++f);
+  } while (static_cast<uint64_t>(f) * plan.SubtreeCapacity(1) < workers);
+  while (plan.SubtreeCapacity(1) > max_subtree) {
+    plan.fanout.assign(static_cast<size_t>(depth), --f);
   }
-  const uint64_t cap1 = Cap1ForFanout(f, depth);
-  const uint32_t roots =
+  const uint64_t cap1 = plan.SubtreeCapacity(1);
+  plan.fanout[0] =
       static_cast<uint32_t>((static_cast<uint64_t>(workers) + cap1 - 1) / cap1);
-  std::vector<uint32_t> fanout(static_cast<size_t>(depth), f);
-  fanout[0] = roots;
-  return fanout;
+  return plan.fanout;
 }
 
 }  // namespace
@@ -74,18 +65,22 @@ TreePlan PlanInvocationTree(uint32_t workers, const TreeOptions& options) {
   TreePlan plan;
   plan.workers = workers;
   if (workers == 0) return plan;
-  int depth = std::min(std::max(0, options.depth), kMaxTreeDepth);
+  // A depth-d subtree holds at least d ids (a chain), so a narrow bound
+  // caps the depth.
+  const uint32_t max_subtree = std::max<uint32_t>(options.max_subtree, 1);
+  const int deepest = static_cast<int>(
+      std::min<uint32_t>(max_subtree, static_cast<uint32_t>(kMaxTreeDepth)));
+  int depth = std::min(std::max(0, options.depth), deepest);
   if (depth == 0) {
-    if (workers <= kDirectInvokeMax) {
-      depth = 1;
-    } else {
+    depth = 1;
+    if (workers > kDirectInvokeMax) {
       // Pick the depth with the best modeled all-running time; ties go to
       // the shallower tree (fewer serial container-start hops to recover
       // through).
       double best = std::numeric_limits<double>::infinity();
-      for (int d = 2; d <= kMaxTreeDepth; ++d) {
-        const double t = models::TreeAllRunningTime(FanoutForDepth(workers, d),
-                                                    workers, options.cost);
+      for (int d = 2; d <= deepest; ++d) {
+        const double t = models::TreeAllRunningTime(
+            FanoutForDepth(workers, d, max_subtree), workers, options.cost);
         if (t < best) {
           best = t;
           depth = d;
@@ -93,7 +88,7 @@ TreePlan PlanInvocationTree(uint32_t workers, const TreeOptions& options) {
       }
     }
   }
-  plan.fanout = FanoutForDepth(workers, depth);
+  plan.fanout = FanoutForDepth(workers, depth, max_subtree);
   return plan;
 }
 
@@ -166,11 +161,10 @@ Result<std::vector<TreeNode>> TreeChildren(const TreePlan& plan,
   return children;
 }
 
-sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
-                                           const InvocationPayload& payload) {
+sim::Async<Status> InvokeTreeChildren(cloud::WorkerEnv& env,
+                                      const InvocationPayload& payload) {
   // Derive the children first: TreeChildren splits this node's range,
-  // and each child takes its own inputs plus its descendants' from ours —
-  // or, batched, only its id (it fetches its inputs from the table).
+  // and each child takes its own inputs plus its descendants' from ours.
   TreePlan plan;
   plan.workers = payload.total_workers;
   plan.fanout = payload.tree.fanout;
@@ -180,11 +174,10 @@ sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
   node.generation = payload.tree.generation;
   auto nodes = TreeChildren(plan, node);
   if (!nodes.ok()) co_return nodes.status();
-  if (nodes->empty()) co_return 0;
+  if (nodes->empty()) co_return Status::OK();
   const int generation = static_cast<int>(payload.tree.generation);
-  const bool batched = !payload.tree.inputs_key.empty();
   const std::vector<WorkerInput>& inputs = payload.tree.descendants;
-  if (!batched && inputs.size() != node.size() - 1) {
+  if (inputs.size() != node.size() - 1) {
     co_return Status::Invalid("payload lacks its descendants' inputs");
   }
   InvocationPayload base = payload;
@@ -195,17 +188,11 @@ sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
     InvocationPayload child = base;
     child.tree.subtree_end = c.end;
     child.tree.generation = c.generation;
-    if (batched) {
-      child.self = WorkerInput{};
-      child.self.worker_id = c.begin;
-    } else {
-      // Descendant i holds worker node.begin + 1 + i.
-      auto first = inputs.begin() + (c.begin - node.begin - 1);
-      child.self = *first;
-      child.tree.descendants.assign(first + 1,
-                                    first + (c.end - c.begin));
-    }
+    // Descendant i holds worker node.begin + 1 + i.
+    auto first = inputs.begin() + (c.begin - node.begin - 1);
+    child.self = *first;
     child.self.attempt = payload.self.attempt;
+    child.tree.descendants.assign(first + 1, first + (c.end - c.begin));
     children.push_back(std::move(child));
   }
 
@@ -217,7 +204,7 @@ sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
   }
   if (fate == cloud::CrashSite::kBeforeInvokingChildren) {
     env.CrashNow();
-    co_return 0;
+    co_return Status::OK();
   }
   size_t stop = children.size();
   if (fate == cloud::CrashSite::kWhileInvokingChildren) {
@@ -227,11 +214,10 @@ sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
   // Named lvalue: no temporary is held across the co_await below (the
   // GCC 12 rule, core/session_manager.h).
   const cloud::InvokerProfile profile = env.invoker_profile();
-  int invoked = 0;
   for (size_t i = 0; i < children.size(); ++i) {
     if (i >= stop) {
       env.CrashNow();
-      co_return invoked;
+      co_return Status::OK();
     }
     std::string serialized = children[i].Serialize();
     Status s = co_await env.services().faas->InvokeWithRetries(
@@ -240,35 +226,8 @@ sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
     if (!s.ok()) {
       LAMBADA_LOG(Warning) << "child invoke failed: " << s.ToString();
     }
-    ++invoked;
   }
-  co_return invoked;
-}
-
-std::vector<uint8_t> EncodeWorkerInputTable(
-    const std::vector<WorkerInput>& inputs) {
-  BinaryWriter blobs;
-  std::vector<uint64_t> offsets;
-  offsets.reserve(inputs.size() + 1);
-  offsets.push_back(0);
-  for (const WorkerInput& in : inputs) {
-    in.Serialize(&blobs);
-    offsets.push_back(blobs.size());
-  }
-  BinaryWriter w;
-  w.PutU32(static_cast<uint32_t>(inputs.size()));
-  for (uint64_t off : offsets) w.PutU64(off);
-  w.PutRaw(blobs.bytes().data(), blobs.size());
-  return w.Take();
-}
-
-Result<WorkerInput> DecodeWorkerInputEntry(const uint8_t* data, size_t size) {
-  BinaryReader r(data, size);
-  ASSIGN_OR_RETURN(WorkerInput in, WorkerInput::Deserialize(&r));
-  if (r.remaining() != 0) {
-    return Status::IOError("worker-input entry trailing bytes");
-  }
-  return in;
+  co_return Status::OK();
 }
 
 }  // namespace lambada::core

@@ -2,6 +2,7 @@
 #define LAMBADA_CORE_INVOCATION_TREE_H_
 
 #include <cstdint>
+#include <limits>
 #include <vector>
 
 #include "cloud/faas.h"
@@ -34,13 +35,23 @@ struct TreePlan {
   uint32_t SubtreeCapacity(int generation) const;
 };
 
+/// Deepest tree the planner builds.
+inline constexpr int kMaxTreeDepth = 3;
+
 /// Planner inputs: a forced depth (or 0 = pick the depth whose modeled
-/// all-running time is best) and the invoker-profile parameters the model
-/// runs on.
+/// all-running time is best), the largest subtree a payload can carry, and
+/// the invoker-profile parameters the model runs on.
 struct TreeOptions {
-  /// 0 = choose automatically among [2, 3] (fleets of at most 4 workers
-  /// always get depth 1); otherwise a forced depth in [1, 3].
+  /// 0 = choose automatically among [2, kMaxTreeDepth] (fleets of at most
+  /// 4 workers always get depth 1); otherwise a forced depth in
+  /// [1, kMaxTreeDepth].
   int depth = 0;
+  /// Most worker ids one generation-1 subtree may hold. A payload carries
+  /// the inputs of its whole subtree, so the driver derives this from the
+  /// Invoke payload limit; plans narrow to it — more roots, a smaller
+  /// inner fanout, or a shallower tree (a depth-d subtree holds at least
+  /// d ids).
+  uint32_t max_subtree = std::numeric_limits<uint32_t>::max();
   models::InvocationTreeParams cost;
 };
 
@@ -57,7 +68,8 @@ struct TreeNode {
 /// historical grouping exactly — group = ceil(sqrt(P)), fixed chunks of
 /// `group` ids — so existing two-level fleets keep their committed
 /// invocation schedules byte-for-byte; deeper plans balance the per-level
-/// fanout at ~P^(1/depth).
+/// fanout at ~P^(1/depth). Either narrows its subtrees to
+/// options.max_subtree ids when they would be wider.
 TreePlan PlanInvocationTree(uint32_t workers, const TreeOptions& options = {});
 
 /// The generation-1 roots the driver invokes, in worker-id order.
@@ -68,7 +80,8 @@ std::vector<TreeNode> TreeRoots(const TreePlan& plan);
 /// nodes whose range is out of the fleet's bounds, exceeds the node's
 /// generation capacity, or would need more children than the plan's
 /// branching bound — the checks that make forged payload ranges a loud
-/// error instead of overlapping invocations.
+/// error instead of overlapping invocations. InvocationPayload::Parse
+/// applies them to every payload it accepts.
 Result<std::vector<TreeNode>> TreeChildren(const TreePlan& plan,
                                            const TreeNode& node);
 
@@ -77,40 +90,15 @@ Result<std::vector<TreeNode>> TreeChildren(const TreePlan& plan,
 /// Invokes the children this payload is responsible for: the subtree
 /// ranges TreeChildren derives from its tree assignment, each stamped with
 /// the invoker's attempt and carrying its own inputs and its descendants'
-/// (inline, or batched behind the same input table). Each child goes
-/// through FaasService::InvokeWithRetries; a child that still fails is
-/// logged and skipped. Consumes this node's invoker-loss fate from the
-/// region's fault plan (cloud/fault.h) when one is installed: on a drawn
-/// crash the environment is marked crashed — possibly after half the
-/// children went out — and the caller must abandon the invocation without
-/// reporting a result. Returns the number of children invoked.
-sim::Async<Result<int>> InvokeTreeChildren(cloud::WorkerEnv& env,
-                                           const InvocationPayload& payload);
-
-// -- Batched worker-input table ----------------------------------------------
-// Batched payloads (trees of depth >= 3) carry only their subtree ID range;
-// the per-worker inputs live in one S3 object ("plans/<qid>.inputs") and
-// every worker fetches its own entry with two small ranged GETs — O(1)
-// payload bytes and O(1) fetched bytes per worker regardless of fleet
-// size. Layout: u32 worker count, (count+1) u64 blob offsets (relative to
-// the header end), then every WorkerInput serialized back-to-back.
-
-std::vector<uint8_t> EncodeWorkerInputTable(
-    const std::vector<WorkerInput>& inputs);
-
-/// Byte position of worker `w`'s (start, end) offset pair in the table.
-inline int64_t WorkerInputOffsetPos(uint32_t w) {
-  return 4 + 8 * static_cast<int64_t>(w);
-}
-/// Total header size for an `n`-worker table; blob offsets are relative
-/// to this.
-inline int64_t WorkerInputTableHeaderBytes(uint32_t n) {
-  return 4 + 8 * (static_cast<int64_t>(n) + 1);
-}
-
-/// Decodes one worker's blob fetched from the table. Trailing bytes and
-/// truncation are IOError, like every other wire format.
-Result<WorkerInput> DecodeWorkerInputEntry(const uint8_t* data, size_t size);
+/// slice of this payload's. Each child goes through
+/// FaasService::InvokeWithRetries; a child that still fails is logged and
+/// skipped. Consumes this node's invoker-loss fate from the region's fault
+/// plan (cloud/fault.h) when one is installed: on a drawn crash the
+/// environment is marked crashed — possibly after half the children went
+/// out — and the caller must abandon the invocation without reporting a
+/// result. Fails only on a tree assignment that does not split.
+sim::Async<Status> InvokeTreeChildren(cloud::WorkerEnv& env,
+                                      const InvocationPayload& payload);
 
 }  // namespace lambada::core
 

@@ -1,5 +1,7 @@
 #include "core/messages.h"
 
+#include "core/invocation_tree.h"
+
 namespace lambada::core {
 
 namespace {
@@ -26,58 +28,37 @@ Result<std::vector<engine::FileRef>> GetFileRefs(BinaryReader* r) {
   return v;
 }
 
-/// Structural validation of a parsed tree section: a payload whose range
-/// claims ids outside the fleet, overlaps a sibling's capacity, does not
-/// match the declared tree shape, or carries inputs for other ids than its
-/// descendants must be a typed error, never a fleet of overlapping
-/// invocations.
+/// Structural validation of a parsed tree section: a payload must carry
+/// the inputs of exactly the ids its range claims beyond its own, in id
+/// order, so the descendant cap bounds every range; the range itself must
+/// obey TreeChildren's rules (inside the fleet, within its generation's
+/// capacity and branching bound), the ones every invoker applies. Anything
+/// else is a typed error, never a fleet of overlapping invocations.
 Status ValidateTree(const InvocationPayload& p) {
   const TreeAssignment& t = p.tree;
-  if (t.generation == 0 || t.generation > t.fanout.size()) {
-    return Status::Invalid("tree generation " + std::to_string(t.generation) +
-                           " outside the declared depth of " +
-                           std::to_string(t.fanout.size()));
-  }
-  if (t.subtree_end <= p.self.worker_id) {
-    return Status::Invalid("empty or inverted subtree range");
-  }
-  if (t.subtree_end > p.total_workers) {
-    return Status::Invalid("subtree range end " +
-                           std::to_string(t.subtree_end) +
-                           " beyond the fleet of " +
-                           std::to_string(p.total_workers));
-  }
-  // Capacity of one generation-t subtree under the declared fanouts; a
-  // wider range would overlap the next sibling's claim.
-  const uint32_t range = t.subtree_end - p.self.worker_id;
-  uint64_t cap = 1;
-  for (size_t g = t.fanout.size() - 1; g + 1 > t.generation; --g) {
-    cap = 1 + static_cast<uint64_t>(t.fanout[g]) * cap;
-    if (cap > p.total_workers) break;  // Saturates; ranges are <= fleet.
-  }
-  if (range > cap) {
-    return Status::Invalid("subtree range of " + std::to_string(range) +
-                           " ids overlaps the next sibling (generation-" +
-                           std::to_string(t.generation) + " capacity " +
-                           std::to_string(cap) + ")");
-  }
-  const size_t inline_inputs = t.inputs_key.empty() ? range - 1 : 0;
-  if (t.descendants.size() != inline_inputs) {
+  const uint32_t self = p.self.worker_id;
+  if (t.subtree_end > self &&
+      t.descendants.size() != t.subtree_end - self - 1) {
     return Status::Invalid(std::to_string(t.descendants.size()) +
                            " descendant inputs for a range of " +
-                           std::to_string(range) + " ids" +
-                           (t.inputs_key.empty() ? "" : " batched in a table"));
+                           std::to_string(t.subtree_end - self) + " ids");
   }
   for (size_t i = 0; i < t.descendants.size(); ++i) {
-    if (t.descendants[i].worker_id != p.self.worker_id + 1 + i) {
+    if (t.descendants[i].worker_id != self + 1 + i) {
       return Status::Invalid("descendant input " + std::to_string(i) +
                              " is for worker " +
                              std::to_string(t.descendants[i].worker_id) +
-                             ", not " +
-                             std::to_string(p.self.worker_id + 1 + i));
+                             ", not " + std::to_string(self + 1 + i));
     }
   }
-  return Status::OK();
+  TreePlan plan;
+  plan.workers = p.total_workers;
+  plan.fanout = t.fanout;
+  TreeNode node;
+  node.begin = self;
+  node.end = t.subtree_end;
+  node.generation = t.generation;
+  return TreeChildren(plan, node).status();
 }
 
 }  // namespace
@@ -129,7 +110,6 @@ std::string InvocationPayload::Serialize() const {
   w.PutU32(tree.generation);
   w.PutVarint(tree.fanout.size());
   for (uint32_t f : tree.fanout) w.PutU32(f);
-  w.PutString(tree.inputs_key);
   w.PutVarint(tree.descendants.size());
   for (const auto& d : tree.descendants) d.Serialize(&w);
   auto bytes = w.Take();
@@ -158,7 +138,6 @@ Result<InvocationPayload> InvocationPayload::Parse(const std::string& bytes) {
     ASSIGN_OR_RETURN(uint32_t f, r.GetU32());
     p.tree.fanout.push_back(f);
   }
-  ASSIGN_OR_RETURN(p.tree.inputs_key, r.GetString());
   ASSIGN_OR_RETURN(uint64_t nd, r.GetVarint());
   if (nd > 100000) return Status::IOError("implausible descendant count");
   for (uint64_t i = 0; i < nd; ++i) {

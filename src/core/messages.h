@@ -44,12 +44,10 @@ struct WorkerInput {
 };
 
 /// A worker's place in the invocation tree (core/invocation_tree.h): its
-/// claimed contiguous ID range, its generation, and the tree shape —
-/// everything it needs to derive and invoke its child subtrees locally.
-/// The inputs of the range's other workers (its descendants) either ride
-/// inline in `descendants`, or — batched — live in the per-worker input
-/// table at `inputs_key`, so one call carries a whole ID range in O(1)
-/// bytes and every member fetches its own entry.
+/// claimed contiguous ID range, its generation, the tree shape, and the
+/// inputs of the range's other workers (its descendants) — everything it
+/// needs to derive and invoke its child subtrees locally (Section 4.2: an
+/// invoker gets the parameters of the workers it starts in its payload).
 struct TreeAssignment {
   /// Exclusive end of this worker's claimed range [self.worker_id, end).
   uint32_t subtree_end = 0;
@@ -57,11 +55,9 @@ struct TreeAssignment {
   uint32_t generation = 1;
   /// Tree shape (TreePlan::fanout); size() is the depth.
   std::vector<uint32_t> fanout;
-  /// S3 key of the worker-input table in plan_bucket; empty = the
-  /// descendants' inputs ride in `descendants`.
-  std::string inputs_key;
-  /// With an empty `inputs_key`: the WorkerInputs of ids
-  /// [self.worker_id + 1, subtree_end), in id order. Empty otherwise.
+  /// The WorkerInputs of ids [self.worker_id + 1, subtree_end), in id
+  /// order: parsing rejects a range the list does not cover exactly, so a
+  /// payload never claims more workers than it carries.
   std::vector<WorkerInput> descendants;
 };
 

@@ -446,10 +446,10 @@ sim::Async<Status> WorkerMain(cloud::WorkerEnv& env, std::string raw) {
       payload.tree.subtree_end > payload.self.worker_id + 1;
   if (has_children) {
     cloud::EnvSpan invoke_span(&env, "worker", "invoke-children");
-    auto invoked = co_await InvokeTreeChildren(env, payload);
+    Status invoked = co_await InvokeTreeChildren(env, payload);
     if (!invoked.ok()) {
       LAMBADA_LOG(Warning) << "child invocation failed: "
-                           << invoked.status().ToString();
+                           << invoked.ToString();
     }
     if (env.crashed()) {
       co_return Status::Cancelled("injected invoker crash (fault plan)");
@@ -460,69 +460,6 @@ sim::Async<Status> WorkerMain(cloud::WorkerEnv& env, std::string raw) {
   result.query_id = payload.query_id;
   result.worker_id = payload.self.worker_id;
   result.attempt = payload.self.attempt;
-
-  // ---- Batched invocation: fetch this worker's own inputs (§4.2). ----
-  // The payload carried only the subtree range; the per-worker input
-  // table in S3 holds everything that differs per worker. Two small
-  // ranged GETs: the offset pair, then the blob.
-  if (!payload.tree.inputs_key.empty()) {
-    cloud::EnvSpan fetch_span(&env, "worker", "fetch-inputs");
-    cloud::S3Client client(env.services().s3, env.net());
-    Status fetched = Status::OK();
-    const uint32_t w = payload.self.worker_id;
-    auto offsets = co_await client.Get(payload.plan_bucket,
-                                       payload.tree.inputs_key,
-                                       WorkerInputOffsetPos(w), 16);
-    if (!offsets.ok()) {
-      fetched = offsets.status();
-    } else {
-      BinaryReader r((*offsets)->data(), (*offsets)->size());
-      uint64_t blob_begin = 0;
-      uint64_t blob_end = 0;
-      auto b = r.GetU64();
-      auto e = b.ok() ? r.GetU64() : b;
-      if (!b.ok() || !e.ok()) {
-        fetched = Status::IOError("truncated worker-input table header");
-      } else {
-        blob_begin = *b;
-        blob_end = *e;
-      }
-      if (fetched.ok() && blob_end < blob_begin) {
-        fetched = Status::IOError("inverted worker-input table offsets");
-      }
-      if (fetched.ok()) {
-        auto blob = co_await client.Get(
-            payload.plan_bucket, payload.tree.inputs_key,
-            WorkerInputTableHeaderBytes(payload.total_workers) +
-                static_cast<int64_t>(blob_begin),
-            static_cast<int64_t>(blob_end - blob_begin));
-        if (!blob.ok()) {
-          fetched = blob.status();
-        } else {
-          auto mine = DecodeWorkerInputEntry((*blob)->data(), (*blob)->size());
-          if (!mine.ok()) {
-            fetched = mine.status();
-          } else if (mine->worker_id != w) {
-            fetched = Status::Invalid("worker-input table entry for worker " +
-                                      std::to_string(mine->worker_id) +
-                                      " fetched by worker " +
-                                      std::to_string(w));
-          } else {
-            // Splice in everything per-worker except the attempt id,
-            // which the invoking side stamped.
-            payload.self.files = std::move(mine->files);
-            payload.self.build_files = std::move(mine->build_files);
-            payload.self.build_counts = std::move(mine->build_counts);
-          }
-        }
-      }
-    }
-    if (!fetched.ok()) {
-      result.status_code = fetched.code();
-      result.status_message = "worker-input fetch failed: " + fetched.message();
-      co_return co_await SendResult(env, payload, std::move(result));
-    }
-  }
 
   // ---- Fetch the plan fragment from shared storage. ----
   Result<PlanFragment> fragment = Status::Internal("plan not loaded");

@@ -2,14 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cloud/cloud.h"
-#include "common/binio.h"
 #include "common/rng.h"
 #include "core/driver.h"
 #include "core/messages.h"
@@ -145,6 +146,43 @@ TEST(InvocationTreeTest, AutoDepthFollowsTheCostModel) {
   EXPECT_GT(skew_big, skew_small);
 }
 
+TEST(InvocationTreeTest, SubtreesNarrowToThePayloadBound) {
+  // TreeOptions::max_subtree caps what one payload carries: every
+  // generation-1 subtree of the plan holds at most that many ids, a bound
+  // below the depth makes the tree shallower (a depth-d subtree holds at
+  // least d ids), narrowed plans still start every id exactly once within
+  // their branching bounds, and a bound a forced depth already meets
+  // leaves its plan as it was.
+  cloud::Cloud cloud;
+  for (uint32_t workers : {7u, 100u, 4096u, 10000u, 24000u}) {
+    for (int depth : {0, 2, 3}) {
+      TreeOptions topt = OptionsFor(cloud, depth);
+      const TreePlan wide = PlanInvocationTree(workers, topt);
+      for (uint32_t bound : {1u, 2u, 3u, 40u, 291u, wide.SubtreeCapacity(1)}) {
+        topt.max_subtree = bound;
+        const TreePlan plan = PlanInvocationTree(workers, topt);
+        EXPECT_LE(plan.SubtreeCapacity(1), bound)
+            << workers << " workers, depth " << depth;
+        EXPECT_LE(static_cast<uint32_t>(plan.depth()), bound);
+        if (depth != 0) {
+          EXPECT_EQ(plan.depth(),
+                    std::min(depth, static_cast<int>(bound)));
+          if (bound >= wide.SubtreeCapacity(1)) {
+            EXPECT_EQ(plan.fanout, wide.fanout);
+          }
+        }
+        std::vector<int> counts;
+        ExpandTree(plan, &counts);
+        for (uint32_t id = 0; id < workers; ++id) {
+          ASSERT_EQ(counts[id], 1) << "worker " << id << " of " << workers
+                                   << ", depth " << depth << ", bound "
+                                   << bound;
+        }
+      }
+    }
+  }
+}
+
 TEST(InvocationTreeTest, ForgedRangesAreLoudErrors) {
   TreeOptions topt;
   topt.depth = 3;
@@ -167,7 +205,7 @@ TEST(InvocationTreeTest, ForgedRangesAreLoudErrors) {
 }
 
 // ---------------------------------------------------------------------------
-// Wire format: tree sections and the batched input table
+// Wire format: tree sections
 // ---------------------------------------------------------------------------
 
 InvocationPayload SamplePayload() {
@@ -211,16 +249,20 @@ InvocationPayload InlinePayload() {
   return p;
 }
 
-/// A depth-3 root claiming [10, 20) with batched inputs: the payload
-/// carries no inputs, only the table's key.
-InvocationPayload BatchedPayload() {
+/// A depth-3 root claiming [10, 20): its nine descendants' inputs ride
+/// inline, in id order, for its three gen-2 children to split.
+InvocationPayload DepthThreePayload() {
   InvocationPayload p = SamplePayload();
-  p.self.files.clear();
-  p.self.build_files.clear();
-  p.self.build_counts.clear();
   p.tree.subtree_end = 20;
   p.tree.fanout = {10, 3, 3};
-  p.tree.inputs_key = "plans/q7.inputs";
+  for (uint32_t id = 11; id < 20; ++id) {
+    WorkerInput in;
+    in.worker_id = id;
+    in.files = {{"data", "f" + std::to_string(id) + ".lpq"}};
+    in.build_files = {{"data", "o.lpq"}};
+    in.build_counts = {1};
+    p.tree.descendants.push_back(in);
+  }
   return p;
 }
 
@@ -240,7 +282,7 @@ void ExpectSameInput(const WorkerInput& a, const WorkerInput& b) {
 
 TEST(InvocationTreeSerdeTest, EveryDepthRoundTripsThroughTheOneLayout) {
   for (const InvocationPayload& p :
-       {DepthOnePayload(), InlinePayload(), BatchedPayload()}) {
+       {DepthOnePayload(), InlinePayload(), DepthThreePayload()}) {
     const std::string bytes = p.Serialize();
     auto parsed = InvocationPayload::Parse(bytes);
     ASSERT_TRUE(parsed.ok()) << parsed.status().ToString();
@@ -252,7 +294,6 @@ TEST(InvocationTreeSerdeTest, EveryDepthRoundTripsThroughTheOneLayout) {
     EXPECT_EQ(parsed->tree.subtree_end, p.tree.subtree_end);
     EXPECT_EQ(parsed->tree.generation, 1u);
     EXPECT_EQ(parsed->tree.fanout, p.tree.fanout);
-    EXPECT_EQ(parsed->tree.inputs_key, p.tree.inputs_key);
     ASSERT_EQ(parsed->tree.descendants.size(), p.tree.descendants.size());
     for (size_t i = 0; i < p.tree.descendants.size(); ++i) {
       ExpectSameInput(parsed->tree.descendants[i], p.tree.descendants[i]);
@@ -263,10 +304,10 @@ TEST(InvocationTreeSerdeTest, EveryDepthRoundTripsThroughTheOneLayout) {
 }
 
 TEST(InvocationTreeSerdeTest, TruncatedPayloadsAreTypedErrors) {
-  // Every strict truncation of every layout must be a typed error — never
-  // a crash, never a silently shorter tree or input list.
+  // Every strict truncation of a payload of every depth must be a typed
+  // error — never a crash, never a silently shorter tree or input list.
   for (const InvocationPayload& p :
-       {DepthOnePayload(), InlinePayload(), BatchedPayload()}) {
+       {DepthOnePayload(), InlinePayload(), DepthThreePayload()}) {
     const std::string full = p.Serialize();
     for (size_t len = 0; len < full.size(); ++len) {
       auto parsed = InvocationPayload::Parse(full.substr(0, len));
@@ -285,13 +326,14 @@ TEST(InvocationTreeSerdeTest, OverlappingAndForgedRangesAreRejected) {
           << what << ": " << parsed.status().ToString();
     }
   };
-  InvocationPayload base = BatchedPayload();
+  InvocationPayload base = DepthThreePayload();
   base.tree.generation = 2;
   base.tree.subtree_end = 14;  // Capacity of a gen-2 subtree: 1+3*1 = 4.
+  base.tree.descendants.resize(3);
   ASSERT_TRUE(InvocationPayload::Parse(base.Serialize()).ok());
 
-  InvocationPayload overlap = base;
-  overlap.tree.subtree_end = 20;  // 10 ids > capacity 4.
+  InvocationPayload overlap = DepthThreePayload();
+  overlap.tree.generation = 2;  // 10 ids, all carried, > capacity 4.
   expect_invalid(overlap, "sibling overlap");
 
   InvocationPayload inverted = base;
@@ -299,7 +341,7 @@ TEST(InvocationTreeSerdeTest, OverlappingAndForgedRangesAreRejected) {
   expect_invalid(inverted, "inverted range");
 
   InvocationPayload beyond = base;
-  beyond.tree.subtree_end = 300;  // total_workers is 100.
+  beyond.total_workers = 12;  // The range [10, 14) ends past the fleet.
   expect_invalid(beyond, "beyond the fleet");
 
   InvocationPayload deep = base;
@@ -309,6 +351,15 @@ TEST(InvocationTreeSerdeTest, OverlappingAndForgedRangesAreRejected) {
   InvocationPayload unborn = base;
   unborn.tree.generation = 0;  // The driver is generation 0, not a worker.
   expect_invalid(unborn, "generation 0");
+
+  // A range the tree shape allows, carrying none of its inputs: without
+  // the descendant count, worker 0 would hand 999,999 children out.
+  InvocationPayload forged = DepthOnePayload();
+  forged.total_workers = 1000000;
+  forged.self.worker_id = 0;
+  forged.tree.subtree_end = 1000000;
+  forged.tree.fanout = {1, 1000000};
+  expect_invalid(forged, "a million-id range without its inputs");
 }
 
 TEST(InvocationTreeSerdeTest, DescendantInputsMustMatchTheRange) {
@@ -328,13 +379,6 @@ TEST(InvocationTreeSerdeTest, DescendantInputsMustMatchTheRange) {
   InvocationPayload extra = InlinePayload();
   extra.tree.subtree_end = 13;  // 3 inputs for a range of 3 ids.
   expect_invalid(extra, "descendant count above range - 1");
-
-  InvocationPayload both = BatchedPayload();
-  both.tree.subtree_end = 12;
-  WorkerInput child;
-  child.worker_id = 11;
-  both.tree.descendants.push_back(child);  // Inline inputs and a table.
-  expect_invalid(both, "descendants beside an input table");
 
   InvocationPayload swapped = InlinePayload();
   std::swap(swapped.tree.descendants[0], swapped.tree.descendants[1]);
@@ -356,7 +400,7 @@ TEST(InvocationTreeSerdeTest, DescendantInputsMustMatchTheRange) {
 
 TEST(InvocationTreeSerdeTest, SeededFuzzNeverCrashesTheParsers) {
   // Byte-level chaos: random truncations and bit flips over valid
-  // payloads of every layout, and over a two-join plan fragment, must
+  // payloads of every depth, and over a two-join plan fragment, must
   // always produce either a valid parse or a typed error.
   PhysicalQuery q3;
   {
@@ -374,7 +418,7 @@ TEST(InvocationTreeSerdeTest, SeededFuzzNeverCrashesTheParsers) {
 
   const std::vector<std::string> inputs = {
       DepthOnePayload().Serialize(), InlinePayload().Serialize(),
-      BatchedPayload().Serialize(),
+      DepthThreePayload().Serialize(),
       std::string(plan_bytes.begin(), plan_bytes.end())};
   const size_t plan_input = inputs.size() - 1;
   Rng rng(20260808);
@@ -407,54 +451,14 @@ TEST(InvocationTreeSerdeTest, SeededFuzzNeverCrashesTheParsers) {
   }
 }
 
-TEST(InvocationTreeSerdeTest, WorkerInputTableRoundTrips) {
-  std::vector<WorkerInput> inputs(5);
-  for (uint32_t w = 0; w < inputs.size(); ++w) {
-    inputs[w].worker_id = w;
-    inputs[w].attempt = w % 2;
-    inputs[w].files = {{"data", "f" + std::to_string(w) + ".lpq"}};
-  }
-  const std::vector<uint8_t> table = EncodeWorkerInputTable(inputs);
-
-  BinaryReader header(table.data(), table.size());
-  auto count = header.GetU32();
-  ASSERT_TRUE(count.ok());
-  ASSERT_EQ(*count, inputs.size());
-  const int64_t blobs_at =
-      WorkerInputTableHeaderBytes(static_cast<uint32_t>(inputs.size()));
-  for (uint32_t w = 0; w < inputs.size(); ++w) {
-    BinaryReader offsets(table.data() + WorkerInputOffsetPos(w), 16);
-    auto begin = offsets.GetU64();
-    auto end = offsets.GetU64();
-    ASSERT_TRUE(begin.ok() && end.ok());
-    ASSERT_LT(*begin, *end);
-    ASSERT_LE(blobs_at + static_cast<int64_t>(*end),
-              static_cast<int64_t>(table.size()));
-    auto entry = DecodeWorkerInputEntry(
-        table.data() + blobs_at + static_cast<int64_t>(*begin),
-        static_cast<size_t>(*end - *begin));
-    ASSERT_TRUE(entry.ok()) << entry.status().ToString();
-    EXPECT_EQ(entry->worker_id, w);
-    EXPECT_EQ(entry->attempt, w % 2);
-    ASSERT_EQ(entry->files.size(), 1u);
-    EXPECT_EQ(entry->files[0].key, "f" + std::to_string(w) + ".lpq");
-    // Truncated entries are typed errors.
-    EXPECT_FALSE(DecodeWorkerInputEntry(
-                     table.data() + blobs_at + static_cast<int64_t>(*begin),
-                     static_cast<size_t>(*end - *begin) - 1)
-                     .ok());
-  }
-}
-
 // ---------------------------------------------------------------------------
-// End to end: deep batched trees run real queries byte-identically
+// End to end: deep trees run real queries byte-identically
 // ---------------------------------------------------------------------------
 
-TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwo) {
-  // A real Q6 fleet forced through the depth-3 batched tree must produce
-  // result bytes identical to the default two-level run (inline inputs)
-  // and to flat depth-1 invocation, and across repeated runs (the
-  // determinism contract).
+TEST(InvocationTreeQueryTest, DepthThreeMatchesDepthTwo) {
+  // A real Q6 fleet forced through the depth-3 tree must produce result
+  // bytes identical to the default two-level run and to flat depth-1
+  // invocation, and across repeated runs (the determinism contract).
   auto run = [](int depth, std::shared_ptr<obs::Tracer>* trace) {
     cloud::Cloud cloud;
     DriverOptions dopts;
@@ -483,9 +487,8 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwo) {
   EXPECT_EQ(run(1, nullptr), ref) << "depth 1";
 
   // Traced, the depth-3 run shows the driver's phases as back-to-back
-  // spans under the root, the batched tree's input-table upload included:
-  // each starts where the previous one ended, and together they cover
-  // the whole query.
+  // spans under the root: each starts where the previous one ended, and
+  // together they cover the whole query.
   std::shared_ptr<obs::Tracer> trace;
   EXPECT_EQ(run(3, &trace), ref) << "traced, depth 3";
   ASSERT_NE(trace, nullptr);
@@ -495,7 +498,7 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwo) {
     if (s.parent == root.id && s.cat == "driver") phases.push_back(&s);
   }
   const std::vector<std::string> expected = {
-      "plan", "upload-plan", "upload-inputs", "invoke", "collect", "merge"};
+      "plan", "upload-plan", "invoke", "collect", "merge"};
   ASSERT_EQ(phases.size(), expected.size());
   double at = root.start;
   for (size_t i = 0; i < phases.size(); ++i) {
@@ -505,6 +508,53 @@ TEST(InvocationTreeQueryTest, DepthThreeBatchedMatchesDepthTwo) {
     at = phases[i]->end;
   }
   EXPECT_EQ(at, root.end);
+}
+
+
+TEST(InvocationTreeQueryTest, WideInputsNarrowTheTreeToTheInvokeLimit) {
+  // Every payload carries its subtree's inputs. In a Q12 fleet of 100
+  // workers forced to depth 3, each input names the 24 files of the
+  // broadcast orders relation, and a generation-1 root carries 31 of them
+  // in 18,337 B. Under Invoke limits of 12 KiB, 2 KiB and 1.5 KiB the
+  // driver narrows the subtrees to 13 and then 3 workers, and then the
+  // tree to depth 2; the results stay byte-identical to the unbounded run.
+  auto run = [](size_t limit) {
+    cloud::CloudConfig cfg;
+    cfg.faas.max_payload_bytes = limit;
+    cloud::Cloud cloud(cfg);
+    DriverOptions dopts;
+    dopts.invocation_tree_depth = 3;
+    Driver driver(&cloud, dopts);
+    LAMBADA_CHECK_OK(driver.Install());
+    workload::LoadOptions li;
+    li.num_rows = 4000;
+    li.num_files = 100;
+    li.row_groups_per_file = 1;
+    li.seed = 23;
+    LAMBADA_CHECK_OK(workload::LoadLineitem(&cloud.s3(), "tpch", "li/", li));
+    workload::LoadOptions oo;
+    oo.num_rows = workload::MaxOrderKey(workload::GenerateLineitem(4000, 23));
+    oo.num_files = 24;
+    oo.seed = 123;
+    LAMBADA_CHECK_OK(workload::LoadOrders(&cloud.s3(), "tpch", "ord/", oo));
+    auto q = workload::TpchQ12("s3://tpch/li/*.lpq", "s3://tpch/ord/*.lpq");
+    RunOptions ropts;
+    ropts.join_strategy = JoinStrategyOverride::kForceBroadcast;
+    return driver.RunToCompletion(q, ropts);
+  };
+  auto wide = run(cloud::FaasConfig{}.max_payload_bytes);
+  ASSERT_TRUE(wide.ok()) << wide.status().ToString();
+  ASSERT_EQ(wide->workers, 100);
+  ASSERT_EQ(wide->tree_depth, 3);
+  const std::vector<uint8_t> ref = engine::SerializeChunk(wide->result);
+  for (auto [limit, depth] : {std::pair<size_t, int>{12 * 1024, 3},
+                               {2 * 1024, 3},
+                               {1536, 2}}) {
+    auto narrow = run(limit);
+    ASSERT_TRUE(narrow.ok()) << limit << ": " << narrow.status().ToString();
+    EXPECT_EQ(narrow->tree_depth, depth) << limit;
+    EXPECT_EQ(engine::SerializeChunk(narrow->result), ref) << limit;
+  }
 }
 
 }  // namespace
